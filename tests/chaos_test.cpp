@@ -22,6 +22,12 @@
 // Suites: ChaosFast* are the deterministic directed scenarios plus a small
 // seed sweep (ctest label "chaos"); ChaosSweep covers 100 seeds (labels
 // "chaos;slow").
+//
+// Golden digests: every directed scenario and every sweep seed also hashes
+// what its run emitted (trace JSONL, resilience totals, per-node byte
+// counters, the broker's durable state and the registry export) and
+// compares it against chaos_digests.h, so a refactor of the actor layer
+// that changes one RNG draw, trace note, counter or wire byte fails here.
 
 #include <gtest/gtest.h>
 
@@ -32,6 +38,9 @@
 #include <vector>
 
 #include "actors/world.h"
+#include "chaos_digests.h"
+#include "crypto/sha256.h"
+#include "metrics/counters.h"
 #include "obs/trace.h"
 #include "overlay/chord.h"
 
@@ -48,7 +57,64 @@ struct ChaosRun {
   /// JSONL trace of the offending payments (meta record + spans/events),
   /// captured only when the run violated an invariant.
   std::string trace_jsonl;
+  /// sim_digest() of the finished world.
+  std::string digest;
 };
+
+/// SHA-256 over everything a simulated run emitted: the trace JSONL (minus
+/// the meta line's machine-dependent hardware_threads), resilience totals,
+/// per-node byte/message counters, the broker's durable state and the
+/// registry's Prometheus export (minus the fixed-base table gauge, which
+/// reflects process-wide group caches rather than this run).  Callers reset
+/// the thread's op totals before building the world so the exported op
+/// counts cover this run alone.
+std::string sim_digest(SimWorld& world) {
+  crypto::Sha256 h;
+  std::string trace = world.trace_sink().to_jsonl();
+  const std::string hw = ",\"hardware_threads\":";
+  if (auto at = trace.find(hw); at != std::string::npos)
+    trace.erase(at, trace.find('}', at) - at);
+  h.update(trace);
+  h.update("\ntotals:" + world.resilience_totals().to_string());
+  for (simnet::NodeId node : world.all_nodes()) {
+    h.update("\nnode " + std::to_string(node) + ":" +
+             std::to_string(world.net().bytes_sent(node)) + "/" +
+             std::to_string(world.net().bytes_received(node)) + "/" +
+             std::to_string(world.net().messages_sent(node)));
+  }
+  h.update(std::string_view("\nbroker:"));
+  h.update(world.broker().snapshot_state());
+  h.update(std::string_view("\nmetrics:"));
+  std::string prom = world.metrics().prometheus_text();
+  std::string kept;
+  std::size_t line_start = 0;
+  while (line_start < prom.size()) {
+    std::size_t end = prom.find('\n', line_start);
+    if (end == std::string::npos) end = prom.size() - 1;
+    const std::string_view line(prom.data() + line_start,
+                                end + 1 - line_start);
+    if (line.find("world_fixed_base_table_bytes") == std::string_view::npos)
+      kept += line;
+    line_start = end + 1;
+  }
+  h.update(kept);
+  return crypto::digest_to_hex(h.finalize());
+}
+
+/// Compares a run's digest with the committed table; a mismatch prints the
+/// replacement table row.
+void expect_golden(const std::string& name, const std::string& digest) {
+  for (const auto& row : kChaosDigests) {
+    if (row.name == name) {
+      EXPECT_EQ(row.digest, digest)
+          << "simulation output changed; row: {\"" << name << "\", \""
+          << digest << "\"},";
+      return;
+    }
+  }
+  ADD_FAILURE() << "no golden digest; add row: {\"" << name << "\", \""
+                << digest << "\"},";
+}
 
 void report_failure(const ChaosRun& run) {
   std::string text = "chaos seed " + std::to_string(run.seed) + " violated:\n";
@@ -79,6 +145,7 @@ void report_failure(const ChaosRun& run) {
 ChaosRun run_chaos_schedule(std::uint64_t seed) {
   ChaosRun run;
   run.seed = seed;
+  metrics::reset_thread_op_totals();
   auto check = [&](bool ok, const std::string& what) {
     if (!ok) run.violations.push_back(what);
   };
@@ -232,6 +299,7 @@ ChaosRun run_chaos_schedule(std::uint64_t seed) {
         "a witness signed two transcripts for one coin");
 
   run.totals = world.resilience_totals();
+  run.digest = sim_digest(world);
   if (!run.violations.empty()) {
     // Offending payments' traces if any were implicated directly; the
     // whole retained window for world-level violations (lost deposit,
@@ -258,6 +326,9 @@ SimWorld::Options directed_options(std::uint8_t witness_n,
   opt.cost = simnet::free_cost();
   opt.broker.witness_n = witness_n;
   opt.broker.witness_k = witness_k;
+  // Traced for the golden digest; tracing draws no RNG and adds no bytes.
+  opt.trace = true;
+  metrics::reset_thread_op_totals();
   return opt;
 }
 
@@ -315,6 +386,7 @@ TEST(ChaosFast, LossyWanWithWitnessCrashStillSucceeds) {
   const auto& counters = client.resilience();
   EXPECT_GE(counters.failovers, 1u);
   EXPECT_EQ(world.merchant(target).services_delivered(), 1u);
+  expect_golden("LossyWanWithWitnessCrashStillSucceeds", sim_digest(world));
 }
 
 // Witness crashes after committing but before countersigning: the restore
@@ -348,6 +420,7 @@ TEST(ChaosFast, WitnessRestartMidSignPreservesCommitment) {
   EXPECT_GE(client.resilience().retries +
                 world.merchant_actor(target).resilience().duplicates_suppressed,
             1u);
+  expect_golden("WitnessRestartMidSignPreservesCommitment", sim_digest(world));
 }
 
 // The hard guarantee across a crash: a coin spent before the witness went
@@ -383,6 +456,7 @@ TEST(ChaosFast, DoubleSpendBlockedAcrossWitnessCrash) {
   } else {
     ASSERT_TRUE(second->error.has_value());
   }
+  expect_golden("DoubleSpendBlockedAcrossWitnessCrash", sim_digest(world));
 }
 
 // Durable-store mode: the crash no longer restores a clean snapshot — it
@@ -422,6 +496,7 @@ TEST(ChaosFast, DurableWitnessCrashStillBlocksDoubleSpend) {
   } else {
     ASSERT_TRUE(second->error.has_value());
   }
+  expect_golden("DurableWitnessCrashStillBlocksDoubleSpend", sim_digest(world));
 }
 
 // Durable mid-sign restart: the crash tears the log mid-record (whatever
@@ -453,6 +528,7 @@ TEST(ChaosFast, DurableWitnessRestartMidSignStillCompletes) {
   EXPECT_GE(client.resilience().retries +
                 world.merchant_actor(target).resilience().duplicates_suppressed,
             1u);
+  expect_golden("DurableWitnessRestartMidSignStillCompletes", sim_digest(world));
 }
 
 // A partition separating the client from everyone else must only delay the
@@ -486,6 +562,37 @@ TEST(ChaosFast, PartitionHealRestoresLiveness) {
   EXPECT_TRUE(result->accepted) << (result->error ? *result->error : "");
   EXPECT_GE(client.resilience().retries, 1u);
   EXPECT_GT(result->elapsed_ms, 4'800);  // could not finish inside the cut
+  expect_golden("PartitionHealRestoresLiveness", sim_digest(world));
+}
+
+// A deadline withdrawal against a broker that stays down long enough for
+// three silences to open the client's breaker: the retry loop must re-arm
+// behind the open breaker without spending attempts, probe once the
+// breaker half-opens, and complete after the broker restarts.
+TEST(ChaosFast, WithdrawRetriesThroughOpenBrokerBreaker) {
+  auto& grp = group::SchnorrGroup::test_256();
+  SimWorld world(grp, directed_options(1, 1));
+  auto& client = world.add_client();
+  const simnet::NodeId broker = world.directory().broker;
+  world.net().set_down(broker, true);
+  world.sim().schedule(20'000, [&] { world.net().set_down(broker, false); });
+  std::optional<ecash::Outcome<ecash::WalletCoin>> result;
+  world.sim().schedule(10, [&] {
+    client.withdraw(
+        100,
+        [&](ecash::Outcome<ecash::WalletCoin> c) { result = std::move(c); },
+        /*deadline_ms=*/60'000);
+  });
+  world.sim().run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->ok()) << result->refusal().detail;
+  const auto& counters = client.resilience();
+  EXPECT_GE(counters.breaker_trips, 1u);
+  // Attempts are capped per request at max_attempts; the re-arms behind
+  // the open breaker do not count as retries.
+  EXPECT_LE(counters.retries, 2 * (RetryPolicy{}.max_attempts - 1));
+  EXPECT_GT(world.sim().now(), 20'000);
+  expect_golden("WithdrawRetriesThroughOpenBrokerBreaker", sim_digest(world));
 }
 
 // ---------------------------------------------------------------------------
@@ -497,6 +604,7 @@ class ChaosFastSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ChaosFastSweep, SeededScheduleHoldsInvariants) {
   auto run = run_chaos_schedule(GetParam());
   if (!run.violations.empty()) report_failure(run);
+  expect_golden("seed " + std::to_string(GetParam()), run.digest);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosFastSweep,
@@ -507,6 +615,7 @@ class ChaosSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ChaosSweep, SeededScheduleHoldsInvariants) {
   auto run = run_chaos_schedule(GetParam());
   if (!run.violations.empty()) report_failure(run);
+  expect_golden("seed " + std::to_string(GetParam()), run.digest);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaosSweep,
