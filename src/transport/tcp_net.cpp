@@ -332,9 +332,12 @@ void TcpNet::stop() {
   stopping_.store(true, std::memory_order_release);
   io_wake();
   if (io_thread_.joinable()) io_thread_.join();
-  // WorkerPool's destructor drains the remaining strand tasks, then joins.
-  // No new messages can arrive (sockets closed) and sends are dropped, so
-  // the mailboxes go quiet and the drain terminates.
+  // Drain the remaining strand tasks while pool_ is still set: a strand
+  // with more than one batch queued resubmits itself through pool_, and
+  // reset() nulls the pointer before the destructor runs.  No new
+  // messages can arrive (sockets closed) and sends are dropped, so the
+  // mailboxes go quiet and the drain terminates.
+  pool_->drain();
   pool_.reset();
   running_.store(false, std::memory_order_release);
 }

@@ -370,5 +370,26 @@ TEST(TcpTransport, StopIsIdempotentAndSendsAfterStopAreDropped) {
   EXPECT_EQ(b.count(), 0u);
 }
 
+// Regression: stop() with more than one strand batch (64 tasks) queued on
+// one endpoint.  The pool's drain resubmits the strand after each batch,
+// so stop() must drain the pool while it is still reachable; tearing it
+// down first made the resubmission call through a null pool.
+TEST(TcpTransport, StopDrainsAStrandLongerThanOneBatch) {
+  TcpNet net(fast_options());
+  Recorder node;
+  NodeId id = net.attach(node);
+  net.start();
+  constexpr int kTasks = 200;
+  std::atomic<int> ran{0};
+  net.post(id, [&ran] {
+    std::this_thread::sleep_for(50ms);  // the rest queue up behind this
+    ran.fetch_add(1, std::memory_order_relaxed);
+  });
+  for (int i = 1; i < kTasks; ++i)
+    net.post(id, [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
+  net.stop();
+  EXPECT_EQ(ran.load(std::memory_order_relaxed), kTasks);
+}
+
 }  // namespace
 }  // namespace p2pcash::transport
