@@ -21,6 +21,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 
 #include "actors/retry.h"
@@ -63,6 +64,11 @@ class ProtocolActor : public simnet::Node {
 
   Timestamp now() const { return static_cast<Timestamp>(tx_.now()); }
 
+  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
+  const RetryPolicy& retry_policy() const { return retry_; }
+  /// Retry/failover/duplicate accounting for this actor.
+  const metrics::ResilienceCounters& resilience() const { return resilience_; }
+
  protected:
   /// Sends `msg` after charging the compute time for `ops`.
   void send_after_cost(const metrics::OpCounters& ops, Message msg);
@@ -93,9 +99,17 @@ class ProtocolActor : public simnet::Node {
   /// Records a point-in-time annotation on `ctx`'s span.
   void trace_note(const obs::TraceContext& ctx, std::string_view name,
                   std::string_view detail = {});
+  /// Closes `ctx`'s span with `status` and clears `ctx`.
+  void end_span(obs::TraceContext& ctx, std::string_view status = "ok");
+
+  /// A retried call from this actor to `to` under its retry policy.
+  Rpc rpc(NodeId to, std::string type, std::vector<std::uint8_t> payload,
+          obs::TraceContext trace, Rpc::Site site);
 
   transport::Transport& tx_;
   simnet::CostModel cost_;
+  RetryPolicy retry_;
+  metrics::ResilienceCounters resilience_;
 };
 
 /// The broker as an actor: withdrawal, deposit and renewal services.
@@ -129,8 +143,6 @@ class MerchantActor final : public ProtocolActor {
   ecash::Merchant& merchant() { return merchant_; }
   ecash::WitnessService& witness() { return witness_; }
 
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-
   /// Drains the storefront's deposit queue and submits every transcript to
   /// the broker, retrying with backoff until a receipt (or a definitive
   /// refusal) arrives.  kAlreadyDeposited counts as an ack — it means an
@@ -145,9 +157,6 @@ class MerchantActor final : public ProtocolActor {
   /// retry or time out cleanly.
   void on_restart();
 
-  /// Retry/duplicate accounting for this actor.
-  const metrics::ResilienceCounters& resilience() const { return resilience_; }
-
  private:
   void handle_commit_request(const Message& msg);
   void handle_transcript(const Message& msg);
@@ -155,15 +164,9 @@ class MerchantActor final : public ProtocolActor {
   void handle_sign_reply(const Message& msg);
   void handle_deposit_receipt(const Message& msg);
 
-  void send_deposit(const ecash::Hash256& coin_hash);
-  void arm_deposit_timer(const ecash::Hash256& coin_hash,
-                         std::size_t attempts_when_armed);
-
   ecash::Merchant& merchant_;
   ecash::WitnessService& witness_;
   const Directory& directory_;
-  RetryPolicy retry_;
-  metrics::ResilienceCounters resilience_;
 
   /// Payments awaiting witness replies, with enough context to re-drive the
   /// witnesses when the client retransmits the transcript.
@@ -176,18 +179,15 @@ class MerchantActor final : public ProtocolActor {
 
   /// Deposit submissions awaiting broker receipts.
   struct PendingDeposit {
-    std::vector<std::uint8_t> payload;  ///< encoded SignedTranscript
-    std::size_t attempts = 0;
-    SimTime prev_backoff = 0;
-    bool exhausted = false;  ///< retries used up; re-armed by flush_deposits
     obs::TraceContext parent;  ///< the originating payment's context
-    obs::TraceContext span;    ///< open "deposit" span (invalid = none yet)
+    /// deposit.submit; its trace is the open "deposit" span.  Not running
+    /// = new, or parked by exhaustion or a restart until the next flush.
+    Rpc rpc;
   };
   std::map<ecash::Hash256, PendingDeposit> pending_deposits_;
   /// Payment contexts remembered at service time so the (later, batched)
   /// deposit submission continues the same trace.
   std::map<ecash::Hash256, obs::TraceContext> deposit_trace_;
-  std::uint64_t restart_generation_ = 0;  ///< invalidates timers on restart
 };
 
 /// The client as an actor: asynchronous withdraw/pay with completion
@@ -206,14 +206,10 @@ class ClientActor final : public ProtocolActor {
 
   ecash::Wallet& wallet() { return wallet_; }
 
-  void set_retry_policy(const RetryPolicy& policy) { retry_ = policy; }
-  const RetryPolicy& retry_policy() const { return retry_; }
   void set_breaker_config(const PeerHealth::Config& config) {
     health_.configure(config);
   }
   PeerHealth& health() { return health_; }
-  /// Retry/failover/duplicate accounting for this client.
-  const metrics::ResilienceCounters& resilience() const { return resilience_; }
 
   /// Starts a withdrawal; `done` fires with the coin or a refusal.  With
   /// deadline_ms > 0 the two broker RPCs are retried with backoff until the
@@ -244,26 +240,21 @@ class ClientActor final : public ProtocolActor {
 
  private:
   struct PendingWithdrawal {
+    /// Set once the broker's offer arrived (the challenge phase).
     std::optional<ecash::Wallet::Withdrawal> state;
     WithdrawCallback done;
-    SimTime deadline = 0;  ///< absolute; 0 = retries disabled
-    std::uint64_t generation = 0;
-    std::size_t attempts = 1;
-    SimTime prev_backoff = 0;
-    /// The exact bytes/type of the last request, for idempotent resends.
-    std::string last_type;
-    std::vector<std::uint8_t> last_payload;
+    bool retries = false;  ///< a deadline was given: retry silent RPCs
     obs::TraceContext span;  ///< root "withdraw" span
+    Rpc rpc;  ///< the outstanding withdraw.start or withdraw.challenge
   };
   /// One witness in the payment's failover plan.
   struct WitnessAttempt {
     MerchantId witness;
     NodeId node = 0;
-    std::size_t attempts = 0;  ///< commit_req sends so far (0 = not engaged)
-    SimTime prev_backoff = 0;
     bool committed = false;
     bool refused = false;
     bool exhausted = false;  ///< max_attempts spent without an answer
+    Rpc commit;  ///< pay.commit_req (attempts() == 0: not engaged)
   };
   struct PendingPayment {
     ecash::WalletCoin coin;
@@ -273,51 +264,39 @@ class ClientActor final : public ProtocolActor {
     std::vector<ecash::WitnessCommitment> commitments;
     /// The coin's witnesses in chord failover order (see overlay::failover_order).
     std::vector<WitnessAttempt> plan;
-    std::vector<std::uint8_t> commit_payload;      ///< resent verbatim
-    std::vector<std::uint8_t> transcript_payload;  ///< non-empty once built
-    std::size_t transcript_attempts = 0;
-    SimTime transcript_prev_backoff = 0;
+    std::vector<std::uint8_t> commit_payload;  ///< sent to every witness
+    Rpc transcript;  ///< pay.transcript, once k commitments are in
     SimTime started = 0;
-    SimTime deadline = 0;
-    std::uint64_t generation = 0;  // guards timeout/retry events
     PayCallback done;
     obs::TraceContext trace_root;  ///< root "payment" span
     /// Currently open phase span (assign_witness -> payment_commit ->
     /// witness_sign); outgoing messages carry this context.
     obs::TraceContext phase;
   };
+  using PaymentPtr = std::shared_ptr<PendingPayment>;
 
   void handle_withdraw_offer(const Message& msg);
   void handle_withdraw_response(const Message& msg);
   void handle_commit(const Message& msg);
   void handle_pay_reply(const Message& msg);
+  /// Completes the payment (stamping elapsed time and trace id) and
+  /// forgets it, so its timers and calls go quiet.
   void finish_payment(PendingPayment& p, PayResult result);
+  void fail_payment(PendingPayment& p, std::string error);
+  /// Runs `fn` after `delay_ms` unless the payment has finished by then.
+  void after(const PaymentPtr& p, SimTime delay_ms,
+             std::function<void(PendingPayment&)> fn);
 
-  // -- resilient RPC machinery --
-  void arm_withdraw_timer(bool by_session, std::uint64_t key,
-                          std::uint64_t generation, std::size_t attempts);
-  void on_withdraw_silence(bool by_session, std::uint64_t key,
-                           std::uint64_t generation, std::size_t attempts);
-  PendingWithdrawal* find_withdrawal(bool by_session, std::uint64_t key,
-                                     std::uint64_t generation);
-  /// Sends commit_req to plan[index] (first engagement or resend).
-  void send_commit_req(PendingPayment& p, std::size_t index);
-  void arm_commit_timer(const ecash::Hash256& coin_hash,
-                        std::uint64_t generation, std::size_t index,
-                        std::size_t attempts);
-  void on_commit_silence(const ecash::Hash256& coin_hash,
-                         std::uint64_t generation, std::size_t index,
-                         std::size_t attempts);
+  /// A broker call of this withdrawal (retried only when it has a deadline).
+  Rpc broker_rpc(PendingWithdrawal& w, std::string type,
+                 std::vector<std::uint8_t> payload);
+  /// Sends commit_req to plan[index] (its first engagement).
+  void engage_witness(PendingPayment& p, std::size_t index);
   /// Engages the next never-engaged witness in the plan, if any.
   void engage_next_witness(PendingPayment& p);
   /// Fails the payment early when fewer than witness_k commitments remain
   /// reachable; `detail` explains the last straw.
   void check_commit_possibility(PendingPayment& p, const std::string& detail);
-  void send_transcript(PendingPayment& p);
-  void arm_transcript_timer(const ecash::Hash256& coin_hash,
-                            std::uint64_t generation, std::size_t attempts);
-  void on_transcript_silence(const ecash::Hash256& coin_hash,
-                             std::uint64_t generation, std::size_t attempts);
 
   const group::SchnorrGroup& grp_;
   sig::PublicKey broker_key_;
@@ -325,19 +304,15 @@ class ClientActor final : public ProtocolActor {
   const Directory& directory_;
   crypto::ChaChaRng rng_;
   ecash::Wallet wallet_;
-  RetryPolicy retry_;
   PeerHealth health_;
-  metrics::ResilienceCounters resilience_;
 
   std::uint64_t next_request_ = 1;
-  /// Withdrawals awaiting the broker's offer, keyed by our request id.
-  std::map<std::uint64_t, PendingWithdrawal> withdrawal_requests_;
-  /// Withdrawals awaiting the broker's response, keyed by broker session
-  /// (a separate map: the two id spaces are unrelated and may collide).
-  std::map<std::uint64_t, PendingWithdrawal> withdrawal_sessions_;
-  std::map<ecash::Hash256, PendingPayment> payments_;  // by coin hash
-  std::uint64_t pay_generation_ = 0;
-  std::uint64_t withdraw_generation_ = 0;
+  /// Open withdrawals, keyed by our request id.
+  std::map<std::uint64_t, PendingWithdrawal> withdrawals_;
+  /// Broker session -> request id, for withdrawals past the offer (a
+  /// separate map: the two id spaces are unrelated and may collide).
+  std::map<std::uint64_t, std::uint64_t> sessions_;
+  std::map<ecash::Hash256, PaymentPtr> payments_;  // by coin hash
 };
 
 }  // namespace p2pcash::actors

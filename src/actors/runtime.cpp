@@ -1,36 +1,20 @@
 #include "actors/runtime.h"
 
-#include <cstdio>
-#include <stdexcept>
 #include <thread>
 #include <utility>
 
 namespace p2pcash::actors {
 
-namespace {
-MerchantId merchant_name(std::size_t i) {
-  char buf[32];  // large enough for "m" + any 64-bit index
-  std::snprintf(buf, sizeof buf, "m%03zu", i);
-  return buf;
-}
-
-std::string witness_log_name(const MerchantId& id) {
-  return "witness-" + id + ".log";
-}
-}  // namespace
-
 NodeRuntime::NodeRuntime(const group::SchnorrGroup& grp, Options options)
-    : grp_(grp),
-      options_(options),
-      sink_(options.trace_capacity),
+    : Cluster(grp, options),
+      flight_artifact_(options.flight_artifact),
       flight_(options.flight_capacity, obs::clock_fn(wall_clock_)),
       tracer_(wall_clock_, &sink_, &registry_),
       obs_server_(obs::ObsServer::Sources{&registry_, &sink_, &flight_,
                                           /*healthy=*/nullptr}) {
   sink_.set_meta(
       {"tcp", static_cast<std::uint32_t>(std::thread::hardware_concurrency())});
-  if (!options_.flight_artifact.empty())
-    flight_.set_artifact_path(options_.flight_artifact);
+  if (!flight_artifact_.empty()) flight_.set_artifact_path(flight_artifact_);
   registry_.register_collector([this] {
     using obs::Sample;
     return std::vector<Sample>{
@@ -45,114 +29,34 @@ NodeRuntime::NodeRuntime(const group::SchnorrGroup& grp, Options options)
     };
   });
 
-  auto net_options = options_.net;
-  net_options.worker_threads = options_.worker_threads;
-  net_options.seed = options_.seed;
+  auto net_options = options.net;
+  net_options.worker_threads = options.worker_threads;
+  net_options.seed = options.seed;
   net_options.metrics = &registry_;
   net_options.tracer = &tracer_;
   net_options.flight = &flight_;
   net_ = std::make_unique<transport::TcpNet>(net_options);
 
   // Construction-time stream for key generation; every service then gets
-  // its own fork, confined to its host actor's strand.  (SimWorld shares
-  // one RNG across the world — legal only because simulation is
-  // single-threaded.)
-  crypto::ChaChaRng setup_rng(options_.seed);
-  broker_rng_ =
-      std::make_unique<crypto::ChaChaRng>(setup_rng.fork("broker"));
-  broker_ = std::make_unique<ecash::Broker>(grp_, *broker_rng_,
-                                            options_.broker);
-  if (options_.durable_stores) {
-    // Same journal recipe as SimWorld::durable_stores, with the fsync
-    // latency histograms folded into this runtime's registry — group
-    // commit under real multi-strand contention is exactly what the
-    // store_* metrics exist to expose.
-    store::LogStore::Options store_opts;
-    store_opts.metrics = &registry_;
-    broker_store_ = std::make_unique<store::LogStore>(store_vfs_, "broker.log",
-                                                      store_opts);
-    broker_->attach_store(*broker_store_);
-  }
-  broker_actor_ =
-      std::make_unique<BrokerActor>(*net_, options_.cost, *broker_);
-  directory_.broker = net_->attach(*broker_actor_);
-
-  if (options_.merchants == 0)
-    throw std::invalid_argument("NodeRuntime: need at least one merchant");
-  merchants_.reserve(options_.merchants);
-  for (std::size_t i = 0; i < options_.merchants; ++i) {
-    MerchantSlot slot;
-    slot.id = merchant_name(i);
-    auto key = sig::KeyPair::generate(grp_, setup_rng);
-    broker_->register_merchant(slot.id, key.public_key(),
-                               options_.security_deposit);
-    slot.rng = std::make_unique<crypto::ChaChaRng>(setup_rng.fork(slot.id));
-    slot.merchant = std::make_unique<ecash::Merchant>(
-        grp_, broker_->coin_key(), slot.id, key, *slot.rng);
-    slot.witness = std::make_unique<ecash::WitnessService>(
-        grp_, broker_->coin_key(), slot.id, key, *slot.rng);
-    if (options_.durable_stores) {
-      store::LogStore::Options store_opts;
-      store_opts.metrics = &registry_;
-      slot.store = std::make_unique<store::LogStore>(
-          store_vfs_, witness_log_name(slot.id), store_opts);
-      slot.witness->attach_store(*slot.store);
-    }
-    slot.actor = std::make_unique<MerchantActor>(
-        *net_, options_.cost, *slot.merchant, *slot.witness, directory_);
-    slot.actor->set_retry_policy(options_.retry);
-    directory_.merchants[slot.id] = net_->attach(*slot.actor);
-    merchants_.push_back(std::move(slot));
-  }
-  broker_->publish_witness_table(/*now=*/0);
+  // its own fork, confined to its host actor's strand.
+  crypto::ChaChaRng setup_rng(options.seed);
+  build(*net_, setup_rng, /*fork_services=*/true);
 }
 
 NodeRuntime::~NodeRuntime() { stop(); }
-
-std::vector<MerchantId> NodeRuntime::merchant_ids() const {
-  std::vector<MerchantId> out;
-  out.reserve(merchants_.size());
-  for (const auto& slot : merchants_) out.push_back(slot.id);
-  return out;
-}
-
-MerchantActor& NodeRuntime::merchant_actor(const MerchantId& id) {
-  for (auto& slot : merchants_) {
-    if (slot.id == id) return *slot.actor;
-  }
-  throw std::invalid_argument("NodeRuntime: unknown merchant " + id);
-}
-
-NodeId NodeRuntime::merchant_node(const MerchantId& id) const {
-  auto it = directory_.merchants.find(id);
-  if (it == directory_.merchants.end())
-    throw std::invalid_argument("NodeRuntime: unknown merchant " + id);
-  return it->second;
-}
-
-ClientActor& NodeRuntime::add_client() {
-  clients_.push_back(std::make_unique<ClientActor>(
-      *net_, options_.cost, grp_, broker_->coin_key(),
-      broker_->current_table(), directory_,
-      options_.seed * 1000003 + (++next_client_seed_)));
-  net_->attach(*clients_.back());
-  clients_.back()->set_retry_policy(options_.retry);
-  clients_.back()->set_breaker_config(options_.breaker);
-  return *clients_.back();
-}
 
 void NodeRuntime::start() {
   // An explicit artifact path opts this runtime into the process-global
   // crash hooks: SIGABRT (including lock-order violations) and SIGUSR1
   // dump the breadcrumb ring to that file.  Signal dispositions are
   // process-wide, so only the runtime the owner configured installs them.
-  if (!options_.flight_artifact.empty())
+  if (!flight_artifact_.empty())
     obs::FlightRecorder::install_process_hooks(&flight_);
   net_->start();
 }
 
 void NodeRuntime::stop() {
-  if (!options_.flight_artifact.empty())
+  if (!flight_artifact_.empty())
     obs::FlightRecorder::install_process_hooks(nullptr);
   obs_server_.stop();
   if (net_) net_->stop();
@@ -163,10 +67,6 @@ std::uint16_t NodeRuntime::start_obs_server(std::uint16_t port) {
 }
 
 void NodeRuntime::stop_obs_server() { obs_server_.stop(); }
-
-void NodeRuntime::set_merchant_down(const MerchantId& id, bool down) {
-  net_->set_down(merchant_node(id), down);
-}
 
 ecash::Outcome<ecash::WalletCoin> NodeRuntime::withdraw(ClientActor& client,
                                                         Cents denomination,
@@ -200,15 +100,6 @@ ClientActor::PayResult NodeRuntime::pay(ClientActor& client,
         timeout_ms);
   });
   return future.get();
-}
-
-metrics::ResilienceCounters NodeRuntime::resilience_totals() const {
-  // Counters are plain fields mutated on actor strands: call this only
-  // while the transport is stopped (or quiescent).
-  metrics::ResilienceCounters total;
-  for (const auto& client : clients_) total += client->resilience();
-  for (const auto& slot : merchants_) total += slot.actor->resilience();
-  return total;
 }
 
 }  // namespace p2pcash::actors

@@ -1,20 +1,19 @@
-// runtime.h — a real multithreaded node deployment over TCP.
+// runtime.h — the cluster (cluster.h) as a real multithreaded deployment
+// over TCP: every protocol message crosses a real loopback TCP connection
+// (transport::TcpNet) and every actor runs on a worker-pool strand.  This
+// is the harness the scalability bench drives for true payments/sec: with
+// W worker threads, W payments can be in distinct actors' handlers
+// simultaneously.
 //
-// The counterpart of SimWorld (world.h): the same construction recipe —
-// broker, merchant machines (storefront + witness), clients, witness
-// table published to everyone — but hosted on transport::TcpNet, so every
-// protocol message crosses a real loopback TCP connection and every actor
-// runs on a worker-pool strand.  This is the harness the scalability
-// bench drives for true payments/sec: with W worker threads, W payments
-// can be in distinct actors' handlers simultaneously.
-//
-// Differences from SimWorld, all forced by realness:
+// What the host adds to the shared recipe, all forced by realness:
 //   * Time is wall-clock milliseconds (the transport's clock), so runs
 //     are NOT seed-reproducible; determinism tests stay on SimWorld.
-//   * Every service gets its own RNG stream (SimWorld shares one across
-//     the whole world — safe there because the simulation is one thread).
+//   * Every service gets its own RNG stream, forked from the setup stream
+//     (SimWorld shares one across the whole world — safe there because the
+//     simulation is one thread).
 //   * The default CostModel is free_cost(): real crypto already costs
 //     real time, and the simulated-cost model would just add sleeps.
+//   * The obs stack: wall-clock tracer, flight recorder, scrape server.
 //   * No FaultPlan; crash/restart is modeled at the transport
 //     (TcpNet::set_down) — reconnection is the thing under test.
 //
@@ -28,72 +27,47 @@
 #include <string>
 #include <vector>
 
-#include "actors/actors.h"
+#include "actors/cluster.h"
 #include "obs/clock.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics_registry.h"
 #include "obs/obs_server.h"
-#include "obs/trace.h"
-#include "store/log_store.h"
-#include "store/vfs.h"
 #include "transport/tcp_net.h"
 
 namespace p2pcash::actors {
 
-class NodeRuntime {
+class NodeRuntime : public Cluster {
  public:
-  struct Options {
-    std::size_t merchants = 4;
+  struct Options : Cluster::Options {
+    Options() {
+      merchants = 4;
+      cost = simnet::free_cost();  // the bignum work is real here
+    }
     /// Strand-executor threads in the transport's worker pool.
     std::size_t worker_threads = 2;
-    std::uint64_t seed = 1;
-    /// Compute-cost model charged by actors before replies.  Defaults to
-    /// free: the OpenSSL bignum work is real here.
-    simnet::CostModel cost = simnet::free_cost();
-    ecash::Broker::Config broker;
-    ecash::Cents security_deposit = 10'000;
-    /// Actor-level RPC retry discipline (timers on the wall clock now).
-    RetryPolicy retry;
-    PeerHealth::Config breaker;
     /// Transport knobs (queue caps, reconnect pacing, frame limit).
-    /// worker_threads and seed above override the ones in here, and the
+    /// worker_threads and seed override the ones in here, and the
     /// runtime's own registry/tracer/flight-recorder are always wired in.
+    /// Actor-level retry timers (Options::retry) run on the wall clock.
     transport::TcpNet::Options net;
-
-    /// Trace ring capacity (spans + events retained for /tracez).
-    std::size_t trace_capacity = 1 << 16;
     /// Flight-recorder ring capacity (crash breadcrumbs).
     std::size_t flight_capacity = 1024;
     /// Where the flight recorder dumps on abort/SIGUSR1.  Empty = stderr.
     /// Set explicitly by the host — this runtime reads no environment
     /// (src/actors is determinism-scoped; getenv is banned here).
     std::string flight_artifact;
-    /// Durable mode: broker and every witness journal coin state into
-    /// append-only logs (store::LogStore over an in-process MemVfs), with
-    /// group-commit fsync latency exported through the runtime registry
-    /// as store_* histograms — the same recipe SimWorld::durable_stores
-    /// uses, here exercised under real concurrency.
-    bool durable_stores = false;
   };
 
   explicit NodeRuntime(const group::SchnorrGroup& grp, Options options);
   ~NodeRuntime();  // stop()s
-  NodeRuntime(const NodeRuntime&) = delete;
-  NodeRuntime& operator=(const NodeRuntime&) = delete;
 
   transport::TcpNet& net() { return *net_; }
-  ecash::Broker& broker() { return *broker_; }
-  const Directory& directory() const { return directory_; }
 
   // -- observability -------------------------------------------------------
   // The runtime owns the full obs stack: a wall-clock Tracer whose spans
-  // stitch across nodes via the wire trace envelope, a MetricsRegistry
-  // fed by the transport/pool/store instrumentation, and an always-on
-  // FlightRecorder of recent transport breadcrumbs.
+  // stitch across nodes via the wire trace envelope, the cluster's
+  // MetricsRegistry fed by the transport/pool/store instrumentation, and an
+  // always-on FlightRecorder of recent transport breadcrumbs.
 
-  obs::MetricsRegistry& metrics() { return registry_; }
-  const obs::MetricsRegistry& metrics() const { return registry_; }
-  obs::TraceSink& trace_sink() { return sink_; }
   obs::Tracer& tracer() { return tracer_; }
   obs::FlightRecorder& flight_recorder() { return flight_; }
 
@@ -104,22 +78,10 @@ class NodeRuntime {
   void stop_obs_server();
   obs::ObsServer& obs_server() { return obs_server_; }
 
-  std::vector<MerchantId> merchant_ids() const;
-  MerchantActor& merchant_actor(const MerchantId& id);
-  NodeId merchant_node(const MerchantId& id) const;
-
-  /// Creates a client endpoint.  Only legal before start() (the TCP
-  /// transport fixes its endpoint set when the io loop spawns).
-  ClientActor& add_client();
-
   /// Starts the io loop and worker pool; actors begin receiving.
   void start();
   /// Stops the transport.  Actors stay alive for post-mortem inspection.
   void stop();
-
-  /// Takes a merchant machine down / up at the transport (listener closed,
-  /// connections severed — senders enter the reconnect path).
-  void set_merchant_down(const MerchantId& id, bool down);
 
   // -- blocking drivers ----------------------------------------------------
   // Callable from any external thread (NOT from an actor strand: they
@@ -138,42 +100,12 @@ class NodeRuntime {
                              const MerchantId& merchant,
                              SimTime timeout_ms = 30'000);
 
-  /// Sum of the resilience counters across all clients and merchants.
-  metrics::ResilienceCounters resilience_totals() const;
-
  private:
-  struct MerchantSlot {
-    MerchantId id;
-    std::unique_ptr<crypto::ChaChaRng> rng;  ///< strand-confined stream
-    std::unique_ptr<ecash::Merchant> merchant;
-    std::unique_ptr<ecash::WitnessService> witness;
-    std::unique_ptr<store::LogStore> store;  ///< durable mode only
-    std::unique_ptr<MerchantActor> actor;
-  };
-
-  group::SchnorrGroup grp_;
-  Options options_;
-
-  // Obs stack FIRST: the transport and stores borrow pointers into it, so
-  // it must outlive them (declaration order = construction order; reverse
-  // destruction tears the borrowers down before the lenders).
-  obs::MetricsRegistry registry_;
-  obs::TraceSink sink_;
+  std::string flight_artifact_;
   obs::WallClock wall_clock_;
   obs::FlightRecorder flight_;
   obs::Tracer tracer_;
-
-  store::MemVfs store_vfs_;  ///< durable mode only (internally locked)
-  std::unique_ptr<store::LogStore> broker_store_;
-
   std::unique_ptr<transport::TcpNet> net_;
-  std::unique_ptr<crypto::ChaChaRng> broker_rng_;
-  std::unique_ptr<ecash::Broker> broker_;
-  std::unique_ptr<BrokerActor> broker_actor_;
-  Directory directory_;
-  std::vector<MerchantSlot> merchants_;
-  std::vector<std::unique_ptr<ClientActor>> clients_;
-  std::uint64_t next_client_seed_ = 0;
 
   // LAST: destroyed first, so a live scrape can never observe a
   // half-torn-down runtime.

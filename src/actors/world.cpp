@@ -1,22 +1,10 @@
 #include "actors/world.h"
 
-#include <cstdio>
-#include <stdexcept>
 #include <thread>
 
 namespace p2pcash::actors {
 
 namespace {
-MerchantId merchant_name(std::size_t i) {
-  char buf[32];  // large enough for "m" + any 64-bit index
-  std::snprintf(buf, sizeof buf, "m%03zu", i);
-  return buf;
-}
-
-std::string witness_log_name(const MerchantId& id) {
-  return "witness-" + id + ".log";
-}
-
 std::uint64_t draw_u64(bn::Rng& rng) {
   std::array<std::uint8_t, 8> b{};
   rng.fill(b);
@@ -27,13 +15,13 @@ std::uint64_t draw_u64(bn::Rng& rng) {
 }  // namespace
 
 SimWorld::SimWorld(const group::SchnorrGroup& grp, Options options)
-    : grp_(grp), options_(options), sink_(options_.trace_capacity) {
-  rng_ = std::make_unique<crypto::ChaChaRng>(options_.seed);
+    : Cluster(grp, options) {
+  rng_ = std::make_unique<crypto::ChaChaRng>(options.seed);
   net_ = std::make_unique<simnet::Network>(
       sim_,
-      std::make_unique<simnet::UniformLatency>(options_.latency_lo,
-                                               options_.latency_hi),
-      *rng_, options_.wire);
+      std::make_unique<simnet::UniformLatency>(options.latency_lo,
+                                               options.latency_hi),
+      *rng_, options.wire);
   shim_ = std::make_unique<transport::SimnetTransport>(*net_);
   // The tracer reads the simulator clock directly: spans carry sim-time,
   // so the same seed replays a byte-identical trace.
@@ -44,167 +32,59 @@ SimWorld::SimWorld(const group::SchnorrGroup& grp, Options options)
   // advisory metadata: the simulation itself is single-threaded.
   sink_.set_meta(
       {"sim", static_cast<std::uint32_t>(std::thread::hardware_concurrency())});
-  set_tracing(options_.trace);
+  set_tracing(options.trace);
   register_collectors();
-  broker_ = std::make_unique<ecash::Broker>(grp_, *rng_, options_.broker);
-  broker_actor_ =
-      std::make_unique<BrokerActor>(*shim_, options_.cost, *broker_);
-  directory_.broker = shim_->attach(*broker_actor_);
+  // One thread, one world stream: every service shares it.
+  build(*shim_, *rng_, /*fork_services=*/false);
+
   faults_ = std::make_unique<simnet::FaultPlan>(*net_);
+  // Broker: ledgers, account table and open sessions survive a crash
+  // (restore_state itself discards half-open withdrawal sessions).
+  add_crash_model(directory_.broker, "broker.log", *broker_, broker_store_,
+                  nullptr);
+  for (MerchantSlot& s : merchants_) {
+    // The storefront's half-done payments were in memory only; clients
+    // re-drive or time out.  Endorsed deposits survive (queue + pending
+    // submissions are journaled with the witness state).
+    add_crash_model(directory_.merchants[s.id], witness_log_name(s.id),
+                    *s.witness, s.store, [&s] {
+                      s.merchant->drop_pending();
+                      s.actor->on_restart();
+                    });
+  }
+}
+
+template <typename Service>
+void SimWorld::add_crash_model(NodeId node, const std::string& log,
+                               Service& service,
+                               std::unique_ptr<store::LogStore>& store,
+                               std::function<void()> after_restart) {
   if (options_.durable_stores) {
-    // Durable mode: the broker journals into an append-only log; a crash
-    // kills the process at an arbitrary byte of the unsynced tail, and
-    // restart reopens the log (truncate + checkpoint restore + delta
+    // A crash kills the process at an arbitrary byte of the log's unsynced
+    // tail; restart reopens the log (truncate + checkpoint restore + delta
     // replay) — no acknowledged state may be lost.
-    store::LogStore::Options store_opts;
-    store_opts.metrics = &registry_;
-    broker_store_ = std::make_unique<store::LogStore>(store_vfs_, "broker.log",
-                                                      store_opts);
-    broker_->attach_store(*broker_store_);
     faults_->set_recovery_hooks(
-        directory_.broker,
-        /*on_crash=*/
-        [this](simnet::NodeId) {
+        node,
+        [this, log](NodeId) {
           store_vfs_.crash_file(
-              "broker.log",
-              draw_u64(*rng_) %
-                  (store_vfs_.unsynced_bytes("broker.log") + 1));
+              log, draw_u64(*rng_) % (store_vfs_.unsynced_bytes(log) + 1));
         },
-        /*on_restart=*/
-        [this](simnet::NodeId) {
-          store::LogStore::Options opts;
-          opts.metrics = &registry_;
-          broker_store_.reset();
-          broker_store_ = std::make_unique<store::LogStore>(
-              store_vfs_, "broker.log", opts);
-          broker_->attach_store(*broker_store_);
+        [this, log, &service, &store, after_restart](NodeId) {
+          store.reset();
+          store = open_log(log);
+          service.attach_store(*store);
+          if (after_restart) after_restart();
         });
   } else {
-    // Broker crash model: ledgers, account table and open sessions are
-    // snapshotted synchronously at crash time and restored at restart
-    // (restore_state itself discards half-open withdrawal sessions).
+    // Synchronous WAL: the state is on disk at the moment of the crash.
     faults_->set_recovery_hooks(
-        directory_.broker,
-        /*on_crash=*/[this](simnet::NodeId) {
-          broker_durable_ = broker_->snapshot_state();
-        },
-        /*on_restart=*/[this](simnet::NodeId) {
-          if (!broker_durable_.empty()) broker_->restore_state(broker_durable_);
+        node,
+        [this, &service](NodeId n) { snapshots_[n] = service.snapshot_state(); },
+        [this, &service, after_restart](NodeId n) {
+          if (!snapshots_[n].empty()) service.restore_state(snapshots_[n]);
+          if (after_restart) after_restart();
         });
   }
-
-  if (options_.merchants == 0)
-    throw std::invalid_argument("SimWorld: need at least one merchant");
-  merchants_.reserve(options_.merchants);
-  for (std::size_t i = 0; i < options_.merchants; ++i) {
-    MerchantSlot slot;
-    slot.id = merchant_name(i);
-    auto key = sig::KeyPair::generate(grp_, *rng_);
-    broker_->register_merchant(slot.id, key.public_key(),
-                               options_.security_deposit);
-    slot.merchant = std::make_unique<ecash::Merchant>(
-        grp_, broker_->coin_key(), slot.id, key, *rng_);
-    slot.witness = std::make_unique<ecash::WitnessService>(
-        grp_, broker_->coin_key(), slot.id, key, *rng_);
-    slot.actor = std::make_unique<MerchantActor>(
-        *shim_, options_.cost, *slot.merchant, *slot.witness, directory_);
-    slot.actor->set_retry_policy(options_.retry);
-    directory_.merchants[slot.id] = shim_->attach(*slot.actor);
-    // Hooks capture the slot INDEX: merchants_ may still reallocate while
-    // this constructor loop pushes more slots.
-    if (options_.durable_stores) {
-      store::LogStore::Options store_opts;
-      store_opts.metrics = &registry_;
-      slot.store = std::make_unique<store::LogStore>(
-          store_vfs_, witness_log_name(slot.id), store_opts);
-      slot.witness->attach_store(*slot.store);
-      faults_->set_recovery_hooks(
-          directory_.merchants[slot.id],
-          /*on_crash=*/
-          [this, i](simnet::NodeId) {
-            const std::string log = witness_log_name(merchants_[i].id);
-            store_vfs_.crash_file(
-                log, draw_u64(*rng_) % (store_vfs_.unsynced_bytes(log) + 1));
-          },
-          /*on_restart=*/
-          [this, i](simnet::NodeId) {
-            MerchantSlot& s = merchants_[i];
-            store::LogStore::Options opts;
-            opts.metrics = &registry_;
-            s.store.reset();
-            s.store = std::make_unique<store::LogStore>(
-                store_vfs_, witness_log_name(s.id), opts);
-            s.witness->attach_store(*s.store);
-            s.merchant->drop_pending();
-            s.actor->on_restart();
-          });
-    } else {
-      faults_->set_recovery_hooks(
-          directory_.merchants[slot.id],
-          /*on_crash=*/
-          [this, i](simnet::NodeId) {
-            // Synchronous WAL: the witness's commitments, spent records and
-            // proofs are on disk at the moment of the crash.
-            merchants_[i].durable = merchants_[i].witness->snapshot_state();
-          },
-          /*on_restart=*/
-          [this, i](simnet::NodeId) {
-            MerchantSlot& s = merchants_[i];
-            if (!s.durable.empty()) s.witness->restore_state(s.durable);
-            // Storefront's half-done payments were in memory only; clients
-            // re-drive or time out.  Endorsed deposits survive (queue +
-            // pending submissions are journaled with the witness WAL).
-            s.merchant->drop_pending();
-            s.actor->on_restart();
-          });
-    }
-    merchants_.push_back(std::move(slot));
-  }
-  broker_->publish_witness_table(/*now=*/0);
-}
-
-std::vector<MerchantId> SimWorld::merchant_ids() const {
-  std::vector<MerchantId> out;
-  out.reserve(merchants_.size());
-  for (const auto& slot : merchants_) out.push_back(slot.id);
-  return out;
-}
-
-MerchantActor& SimWorld::merchant_actor(const MerchantId& id) {
-  for (auto& slot : merchants_) {
-    if (slot.id == id) return *slot.actor;
-  }
-  throw std::invalid_argument("SimWorld: unknown merchant " + id);
-}
-
-ecash::Merchant& SimWorld::merchant(const MerchantId& id) {
-  return merchant_actor(id).merchant();
-}
-
-ecash::WitnessService& SimWorld::witness(const MerchantId& id) {
-  return merchant_actor(id).witness();
-}
-
-NodeId SimWorld::merchant_node(const MerchantId& id) const {
-  auto it = directory_.merchants.find(id);
-  if (it == directory_.merchants.end())
-    throw std::invalid_argument("SimWorld: unknown merchant " + id);
-  return it->second;
-}
-
-ClientActor& SimWorld::add_client() {
-  clients_.push_back(std::make_unique<ClientActor>(
-      *shim_, options_.cost, grp_, broker_->coin_key(),
-      broker_->current_table(), directory_,
-      options_.seed * 1000003 + (++next_client_seed_)));
-  shim_->attach(*clients_.back());
-  clients_.back()->set_retry_policy(options_.retry);
-  clients_.back()->set_breaker_config(options_.breaker);
-  return *clients_.back();
-}
-
-void SimWorld::set_merchant_down(const MerchantId& id, bool down) {
-  net_->set_down(merchant_node(id), down);
 }
 
 void SimWorld::crash_merchant(const MerchantId& id, simnet::SimTime at,
@@ -220,16 +100,8 @@ std::vector<NodeId> SimWorld::all_nodes() const {
   std::vector<NodeId> out;
   out.push_back(directory_.broker);
   for (const auto& [id, node] : directory_.merchants) out.push_back(node);
-  for (std::size_t i = 0; i < clients_.size(); ++i)
-    out.push_back(clients_[i]->id());
+  for (const auto& client : clients_) out.push_back(client->id());
   return out;
-}
-
-metrics::ResilienceCounters SimWorld::resilience_totals() const {
-  metrics::ResilienceCounters total;
-  for (const auto& client : clients_) total += client->resilience();
-  for (const auto& slot : merchants_) total += slot.actor->resilience();
-  return total;
 }
 
 void SimWorld::set_tracing(bool on) {

@@ -1,61 +1,41 @@
-// world.h — assembles a complete simulated deployment: broker node,
-// merchant nodes (storefront + witness) and client nodes on one simnet
-// Network.  The construction mirrors the paper's PlanetLab setup: every
-// party on a different WAN host.
+// world.h — the cluster (cluster.h) on one deterministic simnet Network:
+// broker node, merchant nodes (storefront + witness) and client nodes, all
+// drawing from one world RNG stream, so a seed replays a run byte for byte
+// (RNG draws, trace, counters, wire bytes).
 //
 // The world owns a FaultPlan wired to each node's crash-recovery hooks:
 // crashing a merchant snapshots its witness state (the synchronous-WAL
 // model — commitments and spent records survive), and restarting restores
 // that snapshot, drops the storefront's half-done payments and resets the
 // actor's volatile RPC state.  The broker likewise snapshots its ledgers.
+// With durable_stores a crash instead tears the node's log at a
+// seed-chosen unsynced byte and restart recovers from the log.
 
 #pragma once
 
+#include <map>
 #include <memory>
 #include <vector>
 
-#include "actors/actors.h"
-#include "obs/metrics_registry.h"
-#include "obs/trace.h"
+#include "actors/cluster.h"
 #include "simnet/fault.h"
 #include "simnet/sim.h"
-#include "store/log_store.h"
-#include "store/vfs.h"
 #include "transport/simnet_transport.h"
 
 namespace p2pcash::actors {
 
-class SimWorld {
+class SimWorld : public Cluster {
  public:
-  struct Options {
-    std::size_t merchants = 8;
-    std::uint64_t seed = 1;
-    simnet::CostModel cost = simnet::openssl_cost();
+  struct Options : Cluster::Options {
     simnet::WireFormat wire = simnet::WireFormat::kBinary;
     /// One-way latency bounds in ms (the paper's WAN: 25–50).
     simnet::SimTime latency_lo = 25.0;
     simnet::SimTime latency_hi = 50.0;
-    ecash::Broker::Config broker;
-    ecash::Cents security_deposit = 10'000;
-    /// RPC retry discipline applied to every client and merchant actor.
-    RetryPolicy retry;
-    /// Circuit-breaker configuration applied to every client.
-    PeerHealth::Config breaker;
     /// When true, a Tracer is attached to the network before any node
     /// exists, so every protocol phase of every payment is spanned.  The
     /// trace layer consumes no RNG and adds no wire bytes: enabling it
     /// cannot perturb a chaos schedule or the Table-2 byte accounting.
     bool trace = false;
-    /// Ring-buffer capacity of the trace sink (records, spans + events).
-    std::size_t trace_capacity = std::size_t{1} << 16;
-    /// When true, broker and witnesses run behind append-only LogStores on
-    /// an in-memory Vfs, and the chaos crash hooks become real
-    /// kill-at-any-byte crash points: a crash tears the log at an
-    /// RNG-chosen unsynced byte and restart recovers by reopening the log
-    /// (truncate torn tail, restore checkpoint, replay deltas).  The
-    /// default (false) keeps the legacy snapshot hooks — and every seeded
-    /// schedule — byte-identical.
-    bool durable_stores = false;
   };
 
   explicit SimWorld(const group::SchnorrGroup& grp, Options options);
@@ -63,21 +43,6 @@ class SimWorld {
   simnet::Simulator& sim() { return sim_; }
   simnet::Network& net() { return *net_; }
   transport::Transport& transport() { return *shim_; }
-  ecash::Broker& broker() { return *broker_; }
-  const Directory& directory() const { return directory_; }
-  const group::SchnorrGroup& grp() const { return grp_; }
-
-  std::vector<MerchantId> merchant_ids() const;
-  MerchantActor& merchant_actor(const MerchantId& id);
-  ecash::Merchant& merchant(const MerchantId& id);
-  ecash::WitnessService& witness(const MerchantId& id);
-  NodeId merchant_node(const MerchantId& id) const;
-
-  /// Creates a client node (its own RNG stream derived from the seed).
-  ClientActor& add_client();
-
-  /// Takes a merchant machine down / up (storefront and witness together).
-  void set_merchant_down(const MerchantId& id, bool down);
 
   /// The chaos engine, with crash-recovery hooks for every protocol node
   /// already registered (see the header comment).
@@ -91,46 +56,24 @@ class SimWorld {
   /// Every attached node id (broker, merchants, clients created so far).
   std::vector<NodeId> all_nodes() const;
 
-  /// Sum of the resilience counters across all clients and merchant actors.
-  metrics::ResilienceCounters resilience_totals() const;
-
-  /// The world's metrics registry.  Collectors for the resilience totals,
-  /// the thread's op totals, simulator progress and per-world network
-  /// traffic are pre-registered; benches add their own histograms.
-  obs::MetricsRegistry& metrics() { return registry_; }
-  /// The trace sink (empty unless tracing is enabled).
-  obs::TraceSink& trace_sink() { return sink_; }
-  /// The tracer, or nullptr when tracing is off.
+  /// The tracer, or nullptr when tracing is off.  The registry carries
+  /// collectors for the resilience totals, the thread's op totals,
+  /// simulator progress and per-world network traffic.
   obs::Tracer* tracer() { return trace_on_ ? tracer_.get() : nullptr; }
   /// Turns span/event recording on or off at runtime (Options.trace sets
   /// the initial state).  Existing records are kept.
   void set_tracing(bool on);
   bool tracing() const { return trace_on_; }
 
-  /// The durable-mode Vfs holding every node's log (see
-  /// Options::durable_stores).  Exposed so tests can inspect or corrupt
-  /// log bytes; file names are "broker.log" and "witness-<id>.log".
-  store::MemVfs& store_vfs() { return store_vfs_; }
-
  private:
-  struct MerchantSlot {
-    MerchantId id;
-    std::unique_ptr<ecash::Merchant> merchant;
-    std::unique_ptr<ecash::WitnessService> witness;
-    std::unique_ptr<MerchantActor> actor;
-    /// Witness snapshot taken by the crash hook (synchronous WAL).
-    std::vector<std::uint8_t> durable;
-    /// Durable mode: the witness's append-only log (reopened on restart).
-    std::unique_ptr<store::LogStore> store;
-  };
-
   void register_collectors();
+  /// Wires `node`'s crash/restart to its service's durable state.
+  template <typename Service>
+  void add_crash_model(NodeId node, const std::string& log, Service& service,
+                       std::unique_ptr<store::LogStore>& store,
+                       std::function<void()> after_restart);
 
-  group::SchnorrGroup grp_;
-  Options options_;
   simnet::Simulator sim_;
-  obs::MetricsRegistry registry_;
-  obs::TraceSink sink_;
   std::unique_ptr<obs::Tracer> tracer_;
   bool trace_on_ = false;
   std::unique_ptr<crypto::ChaChaRng> rng_;
@@ -138,20 +81,9 @@ class SimWorld {
   /// The deterministic Transport the actors speak through: a verbatim
   /// forwarding shim over net_, so the simnet path stays byte-identical.
   std::unique_ptr<transport::SimnetTransport> shim_;
-  std::unique_ptr<ecash::Broker> broker_;
-  std::unique_ptr<BrokerActor> broker_actor_;
   std::unique_ptr<simnet::FaultPlan> faults_;
-  Directory directory_;
-  std::vector<MerchantSlot> merchants_;
-  std::vector<std::unique_ptr<ClientActor>> clients_;
-  std::vector<std::uint8_t> broker_durable_;
-  /// Durable mode only (empty otherwise): the in-memory filesystem and
-  /// the broker's log.  Declared before the services that journal into
-  /// them are destroyed (members destruct in reverse order, so the stores
-  /// must outlive nothing — services never journal from destructors).
-  store::MemVfs store_vfs_;
-  std::unique_ptr<store::LogStore> broker_store_;
-  std::uint64_t next_client_seed_ = 0;
+  /// Snapshot-mode crash state per node (the synchronous WAL).
+  std::map<NodeId, std::vector<std::uint8_t>> snapshots_;
 };
 
 }  // namespace p2pcash::actors

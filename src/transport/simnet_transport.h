@@ -36,6 +36,7 @@ class SimnetTransport final : public Transport {
   }
   bn::Rng& rng(NodeId) override { return net_.rng(); }
   obs::Tracer* tracer() const override { return net_.tracer(); }
+  void set_down(NodeId node, bool down) override { net_.set_down(node, down); }
 
   simnet::Network& net() { return net_; }
 

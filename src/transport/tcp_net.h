@@ -158,7 +158,7 @@ class TcpNet final : public Transport {
   /// Crash-models a peer: down closes its listen socket and severs every
   /// connection touching it (senders see resets and enter the reconnect
   /// path); up re-binds the same port.  Safe to call while running.
-  void set_down(NodeId node, bool down);
+  void set_down(NodeId node, bool down) override;
 
   Stats stats() const;
 

@@ -72,6 +72,9 @@ class Transport {
 
   /// The tracer observing this transport, or nullptr when tracing is off.
   virtual obs::Tracer* tracer() const = 0;
+
+  /// Takes `node` off the network (down) or back on (up): a crashed host.
+  virtual void set_down(NodeId node, bool down) = 0;
 };
 
 }  // namespace p2pcash::transport

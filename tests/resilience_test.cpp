@@ -10,6 +10,8 @@
 
 #include "actors/retry.h"
 #include "actors/world.h"
+#include "obs/trace.h"
+#include "transport/transport.h"
 #include "ecash_fixture.h"
 
 namespace p2pcash {
@@ -119,6 +121,187 @@ TEST(PeerHealth, FailedProbeReopensAndCountsASecondTrip) {
   EXPECT_FALSE(health.allow(7, 2'000));         // new open window from 1250
   EXPECT_TRUE(health.allow(7, 2'300));          // 1250 + 1000 elapsed
   EXPECT_EQ(health.trips(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Rpc (the one retried-call primitive)
+// ---------------------------------------------------------------------------
+
+/// A transport double for driving one Rpc by hand: sends are recorded (the
+/// peer is silent), timers run on a Simulator, and every RNG draw is
+/// stamped with the time it was taken.
+class RpcHarness : public transport::Transport {
+ public:
+  RpcHarness() : tracer_([this] { return sim.now(); }, &sink) {}
+
+  simnet::NodeId attach(simnet::Node&) override { return 0; }
+  void send(simnet::Message msg) override {
+    sends.push_back(sim.now());
+    last = std::move(msg);
+  }
+  simnet::SimTime now() const override { return sim.now(); }
+  void schedule_on(simnet::NodeId, simnet::SimTime delay_ms,
+                   std::function<void()> fn) override {
+    sim.schedule(delay_ms, std::move(fn));
+  }
+  void post(simnet::NodeId, std::function<void()> fn) override {
+    sim.schedule(0, std::move(fn));
+  }
+  bn::Rng& rng(simnet::NodeId) override { return rng_; }
+  obs::Tracer* tracer() const override {
+    return const_cast<obs::Tracer*>(&tracer_);
+  }
+  void set_down(simnet::NodeId, bool) override {}
+
+  /// Occurrences of `name` among the recorded trace events.
+  std::size_t notes(const std::string& name) const {
+    const std::string json = sink.to_jsonl();
+    const std::string needle = "\"name\":\"" + name + "\"";
+    std::size_t n = 0;
+    for (auto at = json.find(needle); at != std::string::npos;
+         at = json.find(needle, at + 1))
+      ++n;
+    return n;
+  }
+
+  /// A call from node 1 to silent node 2 with `site`, traced.
+  actors::Rpc call(actors::Rpc::Site site) {
+    return actors::Rpc(
+        *this, policy, counters,
+        simnet::Message{1, 2, "test.req", {7}, tracer_.start_root("call", 1)},
+        std::move(site));
+  }
+
+  simnet::Simulator sim;
+  obs::TraceSink sink;
+  RetryPolicy policy;
+  metrics::ResilienceCounters counters;
+  std::vector<simnet::SimTime> sends;
+  std::vector<simnet::SimTime> draws;
+  simnet::Message last;
+
+ private:
+  struct StampedRng : bn::Rng {
+    explicit StampedRng(RpcHarness& harness) : h(harness) {}
+    void fill(std::span<std::uint8_t> out) override {
+      h.draws.push_back(h.sim.now());
+      inner.fill(out);
+    }
+    RpcHarness& h;
+    crypto::ChaChaRng inner{"rpc-harness"};
+  };
+  StampedRng rng_{*this};
+  obs::Tracer tracer_;
+};
+
+TEST(Rpc, SpendsExactlyTheAttemptBudgetThenReportsExhaustion) {
+  RpcHarness h;
+  int exhausted = 0;
+  actors::Rpc::Site site;
+  site.retry_note = "again";
+  site.on_exhausted = [&](simnet::Message& request) {
+    ++exhausted;
+    EXPECT_EQ(request.type, "test.req");
+  };
+  auto rpc = h.call(std::move(site));
+  rpc.start();
+  EXPECT_TRUE(rpc.running());
+  h.sim.run();
+  EXPECT_EQ(h.sends.size(), h.policy.max_attempts);
+  EXPECT_EQ(rpc.attempts(), h.policy.max_attempts);
+  EXPECT_EQ(h.counters.retries, h.policy.max_attempts - 1);
+  EXPECT_EQ(h.notes("rpc.retry"), h.policy.max_attempts - 1);
+  EXPECT_EQ(exhausted, 1);
+  EXPECT_FALSE(rpc.running());
+  // Every resend carries the original bytes.
+  EXPECT_EQ(h.last.to, 2u);
+  EXPECT_EQ(h.last.payload, std::vector<std::uint8_t>{7});
+}
+
+TEST(Rpc, DrawsOneBackoffPerSilenceAtSilenceTime) {
+  RpcHarness h;
+  auto rpc = h.call({});
+  rpc.start();
+  h.sim.run();
+  // Silences follow each send by attempt_timeout_ms.  All but the last
+  // (which exhausts the budget) back off once; the first backoff is
+  // exactly the base and needs no draw, every later one draws once, at
+  // the silence itself.
+  ASSERT_EQ(h.sends.size(), h.policy.max_attempts);
+  EXPECT_DOUBLE_EQ(h.sends[1] - h.sends[0],
+                   h.policy.attempt_timeout_ms + h.policy.backoff_base_ms);
+  ASSERT_EQ(h.draws.size(), h.policy.max_attempts - 2);
+  for (std::size_t i = 0; i < h.draws.size(); ++i) {
+    const simnet::SimTime silence =
+        h.sends[i + 1] + h.policy.attempt_timeout_ms;
+    EXPECT_DOUBLE_EQ(h.draws[i], silence);
+    EXPECT_GE(h.sends[i + 2] - silence, h.policy.backoff_base_ms);
+  }
+}
+
+TEST(Rpc, TimersOutlivingTheCallDoNothing) {
+  RpcHarness h;
+  int exhausted = 0;
+  actors::Rpc::Site site;
+  site.silence_note = "quiet";
+  site.on_exhausted = [&](simnet::Message&) { ++exhausted; };
+  auto cancelled = h.call(site);
+  cancelled.start();
+  cancelled.cancel();  // the reply arrived
+  {
+    auto destroyed = h.call(site);
+    destroyed.start();
+  }  // the owner went away
+  h.sim.run();
+  EXPECT_EQ(h.sends.size(), 2u);  // the two first sends, nothing more
+  EXPECT_TRUE(h.draws.empty());
+  EXPECT_EQ(h.notes("rpc.silence"), 0u);
+  EXPECT_EQ(h.counters.retries, 0u);
+  EXPECT_EQ(exhausted, 0);
+  EXPECT_FALSE(cancelled.running());
+
+  // Re-driving a cancelled call starts a fresh budget.
+  cancelled.start();
+  h.sim.run();
+  EXPECT_EQ(h.sends.size(), 2u + h.policy.max_attempts);
+  EXPECT_EQ(exhausted, 1);
+}
+
+TEST(Rpc, OpenBreakerReArmsWithoutSpendingAnAttempt) {
+  RpcHarness h;
+  PeerHealth health(PeerHealth::Config{.failure_threshold = 1,
+                                       .open_ms = 10'000});
+  std::size_t silences = 0;
+  actors::Rpc::Site site;
+  site.health = &health;
+  site.wait_out_open_breaker = true;
+  site.silence_note = "quiet";
+  site.trip_note = "tripped";
+  site.on_silence = [&] { ++silences; };
+  auto rpc = h.call(std::move(site));
+  rpc.start();
+  h.sim.run();
+  // The first silence opens the breaker; resends wait behind it, so more
+  // silences than attempts happen, yet the budget is spent exactly.
+  EXPECT_EQ(h.sends.size(), h.policy.max_attempts);
+  EXPECT_EQ(h.counters.retries, h.policy.max_attempts - 1);
+  EXPECT_GT(silences, h.policy.max_attempts);
+  EXPECT_EQ(h.notes("rpc.silence"), silences);
+  EXPECT_GE(h.counters.breaker_trips, 1u);
+  EXPECT_EQ(h.notes("breaker.trip"), h.counters.breaker_trips);
+  // The first silence opened the breaker; the resend waited it out.
+  EXPECT_GE(h.sends[1], h.policy.attempt_timeout_ms + 10'000);
+}
+
+TEST(Rpc, SiteWithoutBreakerNeverRecordsAFailure) {
+  RpcHarness h;
+  auto rpc = h.call({});  // no PeerHealth, no silence note (the deposit)
+  rpc.start();
+  h.sim.run();
+  EXPECT_EQ(h.sends.size(), h.policy.max_attempts);
+  EXPECT_EQ(h.counters.breaker_trips, 0u);
+  EXPECT_EQ(h.notes("rpc.silence"), 0u);
+  EXPECT_EQ(h.notes("breaker.trip"), 0u);
 }
 
 // ---------------------------------------------------------------------------
