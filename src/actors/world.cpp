@@ -38,10 +38,10 @@ SimWorld::SimWorld(const group::SchnorrGroup& grp, Options options)
   build(*shim_, *rng_, /*fork_services=*/false);
 
   faults_ = std::make_unique<simnet::FaultPlan>(*net_);
-  // Broker: ledgers, account table and open sessions survive a crash
-  // (restore_state itself discards half-open withdrawal sessions).
+  // Broker: ledgers and the account table survive a crash; open
+  // withdrawal and renewal sessions do not.
   add_crash_model(directory_.broker, "broker.log", *broker_, broker_store_,
-                  nullptr);
+                  [this] { broker_->drop_sessions(); });
   for (MerchantSlot& s : merchants_) {
     // The storefront's half-done payments were in memory only; clients
     // re-drive or time out.  Endorsed deposits survive (queue + pending
@@ -73,17 +73,13 @@ void SimWorld::add_crash_model(NodeId node, const std::string& log,
           store.reset();
           store = open_log(log);
           service.attach_store(*store);
-          if (after_restart) after_restart();
+          after_restart();
         });
   } else {
-    // Synchronous WAL: the state is on disk at the moment of the crash.
+    // Synchronous WAL: the state is on disk at the moment of the crash, so
+    // a restart loses only volatile state.
     faults_->set_recovery_hooks(
-        node,
-        [this, &service](NodeId n) { snapshots_[n] = service.snapshot_state(); },
-        [this, &service, after_restart](NodeId n) {
-          if (!snapshots_[n].empty()) service.restore_state(snapshots_[n]);
-          if (after_restart) after_restart();
-        });
+        node, nullptr, [after_restart](NodeId) { after_restart(); });
   }
 }
 

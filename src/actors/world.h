@@ -3,17 +3,18 @@
 // drawing from one world RNG stream, so a seed replays a run byte for byte
 // (RNG draws, trace, counters, wire bytes).
 //
-// The world owns a FaultPlan wired to each node's crash-recovery hooks:
-// crashing a merchant snapshots its witness state (the synchronous-WAL
-// model — commitments and spent records survive), and restarting restores
-// that snapshot, drops the storefront's half-done payments and resets the
-// actor's volatile RPC state.  The broker likewise snapshots its ledgers.
-// With durable_stores a crash instead tears the node's log at a
-// seed-chosen unsynced byte and restart recovers from the log.
+// The world owns a FaultPlan wired to each node's crash-recovery hooks.
+// By default durable state follows the synchronous-WAL model: it is on
+// disk at the moment of the crash, so the witness's commitments and spent
+// records and the broker's ledgers are untouched, and a restart only drops
+// volatile state — the storefront's half-done payments, the actor's RPC
+// state and the broker's open withdrawal/renewal sessions.  With
+// durable_stores a crash instead tears the node's log at a seed-chosen
+// unsynced byte and restart recovers from the log before dropping the
+// same volatile state.
 
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -67,7 +68,8 @@ class SimWorld : public Cluster {
 
  private:
   void register_collectors();
-  /// Wires `node`'s crash/restart to its service's durable state.
+  /// Wires `node`'s crash/restart to its service's durable state;
+  /// `after_restart` drops the node's volatile state.
   template <typename Service>
   void add_crash_model(NodeId node, const std::string& log, Service& service,
                        std::unique_ptr<store::LogStore>& store,
@@ -82,8 +84,6 @@ class SimWorld : public Cluster {
   /// forwarding shim over net_, so the simnet path stays byte-identical.
   std::unique_ptr<transport::SimnetTransport> shim_;
   std::unique_ptr<simnet::FaultPlan> faults_;
-  /// Snapshot-mode crash state per node (the synchronous WAL).
-  std::map<NodeId, std::vector<std::uint8_t>> snapshots_;
 };
 
 }  // namespace p2pcash::actors

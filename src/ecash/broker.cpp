@@ -19,7 +19,96 @@ constexpr std::uint8_t kDeltaDeposit = 4;
 constexpr std::uint8_t kDeltaRenewal = 5;
 constexpr std::uint8_t kDeltaWitnessFault = 6;
 constexpr std::uint8_t kDeltaFraudProof = 7;
+
+/// Last-wins install of a decoded (key, record) pair.
+template <typename Map, typename Entry>
+void upsert(Map& map, Entry entry) {
+  map.insert_or_assign(std::move(entry.first), std::move(entry.second));
+}
 }  // namespace
+
+// One encoder and one decoder per persisted record.  The checkpoint
+// (snapshot_locked/restore_locked) and the delta journal (Codec::delta/
+// apply_delta) both go through these, so the two cannot drift apart.
+// Braced initializers evaluate left to right, so each decoder reads its
+// fields in the encoder's order.
+struct Broker::Codec {
+  static void put(wire::Writer& w, const MerchantId& id,
+                  const MerchantAccount& a) {
+    w.put_string(id);
+    w.put_bigint(a.key.y);
+    w.put_u32(a.deposit_remaining);
+    w.put_i64(a.balance);
+    w.put_u64(a.weight);
+    w.put_u8(a.flagged ? 1 : 0);
+  }
+  static std::pair<MerchantId, MerchantAccount> account(wire::Reader& r) {
+    MerchantId id = r.get_string();
+    MerchantAccount a;
+    a.key.y = r.get_bigint();
+    a.deposit_remaining = r.get_u32();
+    a.balance = r.get_i64();
+    a.weight = r.get_u64();
+    a.flagged = r.get_u8() != 0;
+    return {std::move(id), std::move(a)};
+  }
+
+  static void put(wire::Writer& w, const Counters& c) {
+    w.put_u64(c.next_session);
+    w.put_u64(c.coins_issued);
+    w.put_i64(c.fiat_collected);
+    w.put_i64(c.fiat_paid_out);
+  }
+  static Counters counters(wire::Reader& r) {
+    return Counters{r.get_u64(), r.get_u64(), r.get_i64(), r.get_i64()};
+  }
+
+  static void put(wire::Writer& w, const Hash256& hash,
+                  const DepositRecord& d) {
+    w.put_bytes(hash);
+    d.st.encode(w);
+    w.put_string(d.depositor);
+  }
+  static std::pair<Hash256, DepositRecord> deposit(wire::Reader& r) {
+    return {read_hash(r),
+            DepositRecord{SignedTranscript::decode(r), r.get_string()}};
+  }
+
+  static void put(wire::Writer& w, const Hash256& hash,
+                  const RenewalRecord& rr) {
+    w.put_bytes(hash);
+    rr.coin.encode(w);
+    w.put_bigint(rr.proof.r1);
+    w.put_bigint(rr.proof.r2);
+    w.put_i64(rr.datetime);
+  }
+  static std::pair<Hash256, RenewalRecord> renewal(wire::Reader& r) {
+    return {read_hash(r),
+            RenewalRecord{Coin::decode(r), {r.get_bigint(), r.get_bigint()},
+                          r.get_i64()}};
+  }
+
+  static void put(wire::Writer& w, const WitnessFaultProof& f) {
+    w.put_bytes(f.coin_hash);
+    f.first.encode(w);
+    f.second.encode(w);
+    w.put_string(f.witness);
+  }
+  static WitnessFaultProof witness_fault(wire::Reader& r) {
+    return {read_hash(r), SignedTranscript::decode(r),
+            SignedTranscript::decode(r), r.get_string()};
+  }
+
+  static void put(wire::Writer& w, const WitnessTable& t) { t.encode(w); }
+  static void put(wire::Writer& w, const DoubleSpendProof& p) { p.encode(w); }
+
+  /// One tagged sub-delta: the tag, then the record's encoding.
+  template <typename... Record>
+  static void delta(wire::Writer& w, std::uint8_t tag, const Record&... rec) {
+    w.put_u8(tag);
+    put(w, rec...);
+  }
+};
 
 namespace {
 // The broker has a single key pair (x, y = g^x) like the paper's B: it
@@ -45,7 +134,7 @@ void Broker::register_merchant(const MerchantId& id, const sig::PublicKey& key,
   account.key = key;
   account.deposit_remaining = security_deposit;
   wire::Writer w;
-  delta_account(w, id);
+  Codec::delta(w, kDeltaAccount, id, accounts_.at(id));
   journal(w);
 }
 
@@ -70,7 +159,7 @@ void Broker::set_weight(const MerchantId& id, std::uint64_t weight) {
     throw std::invalid_argument("Broker::set_weight: zero weight");
   it->second.weight = weight;
   wire::Writer w;
-  delta_account(w, id);
+  Codec::delta(w, kDeltaAccount, id, accounts_.at(id));
   journal(w);
 }
 
@@ -88,7 +177,7 @@ const WitnessTable& Broker::publish_witness_table(Timestamp now) {
   tables_.push_back(
       WitnessTable::build(version, now, participants, identity_, rng_));
   wire::Writer w;
-  delta_table(w, tables_.back());
+  Codec::delta(w, kDeltaTable, tables_.back());
   journal(w);
   return tables_.back();
 }
@@ -131,14 +220,15 @@ Outcome<Broker::WithdrawalOffer> Broker::start_withdrawal(Cents denomination,
   if (denomination == 0)
     return Refusal{RefusalReason::kInternal, "zero denomination"};
   WithdrawalOffer offer;
-  offer.session = next_session_++;
+  offer.session = counters_.next_session++;
   offer.info = make_info(denomination, now);
   auto session = signer_.start(offer.info.bytes(), rng_);
   offer.first = session.first;
   withdrawal_sessions_.emplace(offer.session, std::move(session));
-  fiat_collected_ += denomination;  // client pays out of band (card/deposit)
+  // The client pays out of band (card/deposit).
+  counters_.fiat_collected += denomination;
   wire::Writer w;
-  delta_counters(w);
+  Codec::delta(w, kDeltaCounters, counters_);
   journal(w);
   return offer;
 }
@@ -155,16 +245,16 @@ Outcome<Broker::WithdrawalOffer> Broker::start_withdrawal_escrowed(
   if (client_identity.empty())
     return Refusal{RefusalReason::kInternal, "empty identity to escrow"};
   WithdrawalOffer offer;
-  offer.session = next_session_++;
+  offer.session = counters_.next_session++;
   offer.info = make_info(denomination, now);
   offer.info.escrow_tag = escrow::make_escrow_tag(
       grp_, escrow_authority_y, client_identity, rng_);
   auto session = signer_.start(offer.info.bytes(), rng_);
   offer.first = session.first;
   withdrawal_sessions_.emplace(offer.session, std::move(session));
-  fiat_collected_ += denomination;
+  counters_.fiat_collected += denomination;
   wire::Writer w;
-  delta_counters(w);
+  Codec::delta(w, kDeltaCounters, counters_);
   journal(w);
   return offer;
 }
@@ -190,9 +280,9 @@ Outcome<blindsig::SignerResponse> Broker::finish_withdrawal(
   auto response = signer_.respond(it->second, e);
   withdrawal_sessions_.erase(it);  // one signature per session, ever
   completed_withdrawals_.emplace(session, CompletedWithdrawal{e, response});
-  ++coins_issued_;
+  ++counters_.coins_issued;
   wire::Writer w;
-  delta_counters(w);
+  Codec::delta(w, kDeltaCounters, counters_);
   journal(w);
   return response;
 }
@@ -317,11 +407,11 @@ Outcome<Broker::DepositReceipt> Broker::deposit(const MerchantId& depositor,
     // Case 2-a: first deposit. Credit and store until hard expiry.
     deposits_.emplace(coin_hash, DepositRecord{st, depositor});
     account_it->second.balance += info.denomination;
-    fiat_paid_out_ += info.denomination;
+    counters_.fiat_paid_out += info.denomination;
     wire::Writer w;
-    delta_deposit(w, coin_hash);
-    delta_account(w, depositor);
-    delta_counters(w);
+    Codec::delta(w, kDeltaDeposit, coin_hash, deposits_.at(coin_hash));
+    Codec::delta(w, kDeltaAccount, depositor, accounts_.at(depositor));
+    Codec::delta(w, kDeltaCounters, counters_);
     journal(w);
     return DepositReceipt{info.denomination, false};
   }
@@ -362,12 +452,13 @@ Outcome<Broker::DepositReceipt> Broker::deposit(const MerchantId& depositor,
     culprit_it->second.deposit_remaining -= charge;
   }
   account_it->second.balance += amount;
-  fiat_paid_out_ += amount;
+  counters_.fiat_paid_out += amount;
   wire::Writer w;
-  delta_witness_fault(w, witness_faults_.back());
-  if (culprit_it != accounts_.end()) delta_account(w, culprit);
-  delta_account(w, depositor);
-  delta_counters(w);
+  Codec::delta(w, kDeltaWitnessFault, witness_faults_.back());
+  if (culprit_it != accounts_.end())
+    Codec::delta(w, kDeltaAccount, culprit, culprit_it->second);
+  Codec::delta(w, kDeltaAccount, depositor, accounts_.at(depositor));
+  Codec::delta(w, kDeltaCounters, counters_);
   journal(w);
   return DepositReceipt{amount, true};
 }
@@ -416,7 +507,7 @@ Outcome<std::vector<Broker::WithdrawalOffer>> Broker::exchange(
   offers.reserve(denominations.size());
   for (Cents d : denominations) {
     WithdrawalOffer offer;
-    offer.session = next_session_++;
+    offer.session = counters_.next_session++;
     offer.info = make_info(d, now);
     auto session = signer_.start(offer.info.bytes(), rng_);
     offer.first = session.first;
@@ -424,8 +515,8 @@ Outcome<std::vector<Broker::WithdrawalOffer>> Broker::exchange(
     offers.push_back(std::move(offer));
   }
   wire::Writer w;
-  delta_deposit(w, coin_hash);
-  delta_counters(w);
+  Codec::delta(w, kDeltaDeposit, coin_hash, deposits_.at(coin_hash));
+  Codec::delta(w, kDeltaCounters, counters_);
   journal(w);
   return offers;
 }
@@ -446,13 +537,13 @@ Outcome<Broker::RenewalOffer> Broker::start_renewal(Cents denomination,
   if (tables_.empty())
     return Refusal{RefusalReason::kInternal, "no witness table published"};
   RenewalOffer offer;
-  offer.session = next_session_++;
+  offer.session = counters_.next_session++;
   offer.info = make_info(denomination, now);
   auto session = signer_.start(offer.info.bytes(), rng_);
   offer.first = session.first;
   renewal_sessions_.emplace(offer.session, std::move(session));
   wire::Writer w;
-  delta_counters(w);
+  Codec::delta(w, kDeltaCounters, counters_);
   journal(w);
   return offer;
 }
@@ -515,7 +606,7 @@ Outcome<blindsig::SignerResponse> Broker::finish_renewal(
       if (ds.verify(grp_)) {
         renewal_fraud_proofs_.push_back(ds);
         wire::Writer w;
-        delta_fraud_proof(w, renewal_fraud_proofs_.back());
+        Codec::delta(w, kDeltaFraudProof, renewal_fraud_proofs_.back());
         journal(w);
       }
     }
@@ -536,7 +627,7 @@ Outcome<blindsig::SignerResponse> Broker::finish_renewal(
       if (ds.verify(grp_)) {
         renewal_fraud_proofs_.push_back(ds);
         wire::Writer w;
-        delta_fraud_proof(w, renewal_fraud_proofs_.back());
+        Codec::delta(w, kDeltaFraudProof, renewal_fraud_proofs_.back());
         journal(w);
       }
     }
@@ -548,10 +639,10 @@ Outcome<blindsig::SignerResponse> Broker::finish_renewal(
   renewals_.emplace(coin_hash, RenewalRecord{old_coin, proof, datetime});
   auto response = signer_.respond(it->second, e);
   renewal_sessions_.erase(it);
-  ++coins_issued_;
+  ++counters_.coins_issued;
   wire::Writer w;
-  delta_renewal(w, coin_hash);
-  delta_counters(w);
+  Codec::delta(w, kDeltaRenewal, coin_hash, renewals_.at(coin_hash));
+  Codec::delta(w, kDeltaCounters, counters_);
   journal(w);
   return response;
 }
@@ -566,57 +657,21 @@ std::vector<std::uint8_t> Broker::snapshot_locked() const {
   wire::Writer w;
   w.put_string("p2pcash/broker-snapshot/v1");
   w.put_bigint(signer_.secret_x());
-  w.put_u64(next_session_);
-  w.put_u64(coins_issued_);
-  w.put_i64(fiat_collected_);
-  w.put_i64(fiat_paid_out_);
+  Codec::put(w, counters_);
   w.put_u32(static_cast<std::uint32_t>(accounts_.size()));
-  for (const auto& [id, account] : accounts_) {
-    w.put_string(id);
-    w.put_bigint(account.key.y);
-    w.put_u32(account.deposit_remaining);
-    w.put_i64(account.balance);
-    w.put_u64(account.weight);
-    w.put_u8(account.flagged ? 1 : 0);
-  }
+  for (const auto& [id, account] : accounts_) Codec::put(w, id, account);
   w.put_u32(static_cast<std::uint32_t>(tables_.size()));
   for (const auto& table : tables_) table.encode(w);
   w.put_u32(static_cast<std::uint32_t>(deposits_.size()));
-  for (const auto& [hash, record] : deposits_) {
-    w.put_bytes(hash);
-    record.st.encode(w);
-    w.put_string(record.depositor);
-  }
+  for (const auto& [hash, record] : deposits_) Codec::put(w, hash, record);
   w.put_u32(static_cast<std::uint32_t>(renewals_.size()));
-  for (const auto& [hash, record] : renewals_) {
-    w.put_bytes(hash);
-    record.coin.encode(w);
-    w.put_bigint(record.proof.r1);
-    w.put_bigint(record.proof.r2);
-    w.put_i64(record.datetime);
-  }
+  for (const auto& [hash, record] : renewals_) Codec::put(w, hash, record);
   w.put_u32(static_cast<std::uint32_t>(witness_faults_.size()));
-  for (const auto& fault : witness_faults_) {
-    w.put_bytes(fault.coin_hash);
-    fault.first.encode(w);
-    fault.second.encode(w);
-    w.put_string(fault.witness);
-  }
+  for (const auto& fault : witness_faults_) Codec::put(w, fault);
   w.put_u32(static_cast<std::uint32_t>(renewal_fraud_proofs_.size()));
   for (const auto& proof : renewal_fraud_proofs_) proof.encode(w);
   return w.take();
 }
-
-namespace {
-Hash256 snapshot_hash(wire::Reader& r) {
-  auto bytes = r.get_bytes();
-  if (bytes.size() != 32)
-    throw wire::DecodeError("broker snapshot: bad hash width");
-  Hash256 h;
-  std::copy(bytes.begin(), bytes.end(), h.begin());
-  return h;
-}
-}  // namespace
 
 void Broker::restore_state(std::span<const std::uint8_t> snapshot) {
   sync::MutexLock lock(mu_);
@@ -626,56 +681,32 @@ void Broker::restore_state(std::span<const std::uint8_t> snapshot) {
   if (store_ != nullptr) store_->checkpoint(snapshot_locked());
 }
 
-void Broker::restore_locked(std::span<const std::uint8_t> snapshot) {
+void Broker::restore_locked(
+    std::span<const std::uint8_t> snapshot,
+    std::span<const std::vector<std::uint8_t>> deltas) {
   wire::Reader r(snapshot);
   if (r.get_string() != "p2pcash/broker-snapshot/v1")
     throw wire::DecodeError("broker snapshot: bad magic");
   BigInt secret = r.get_bigint();
-  std::uint64_t next_session = r.get_u64();
-  std::uint64_t coins_issued = r.get_u64();
-  std::int64_t fiat_collected = r.get_i64();
-  std::int64_t fiat_paid_out = r.get_i64();
+  const Counters counters = Codec::counters(r);
   std::map<MerchantId, MerchantAccount> accounts;
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    MerchantId id = r.get_string();
-    MerchantAccount account;
-    account.key.y = r.get_bigint();
-    account.deposit_remaining = r.get_u32();
-    account.balance = r.get_i64();
-    account.weight = r.get_u64();
-    account.flagged = r.get_u8() != 0;
-    accounts.emplace(std::move(id), std::move(account));
-  }
-  std::deque<WitnessTable> tables;
   for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i)
+    accounts.insert(Codec::account(r));
+  std::vector<WitnessTable> tables;
+  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
     tables.push_back(WitnessTable::decode(r));
+    if (tables.back().version() != tables.size())
+      throw wire::DecodeError("broker snapshot: table version gap");
+  }
   std::map<Hash256, DepositRecord> deposits;
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = snapshot_hash(r);
-    DepositRecord record;
-    record.st = SignedTranscript::decode(r);
-    record.depositor = r.get_string();
-    deposits.emplace(hash, std::move(record));
-  }
+  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i)
+    deposits.insert(Codec::deposit(r));
   std::map<Hash256, RenewalRecord> renewals;
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = snapshot_hash(r);
-    RenewalRecord record;
-    record.coin = Coin::decode(r);
-    record.proof.r1 = r.get_bigint();
-    record.proof.r2 = r.get_bigint();
-    record.datetime = r.get_i64();
-    renewals.emplace(hash, std::move(record));
-  }
+  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i)
+    renewals.insert(Codec::renewal(r));
   std::vector<WitnessFaultProof> faults;
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    WitnessFaultProof fault;
-    fault.coin_hash = snapshot_hash(r);
-    fault.first = SignedTranscript::decode(r);
-    fault.second = SignedTranscript::decode(r);
-    fault.witness = r.get_string();
-    faults.push_back(std::move(fault));
-  }
+  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i)
+    faults.push_back(Codec::witness_fault(r));
   std::vector<DoubleSpendProof> fraud;
   for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i)
     fraud.push_back(DoubleSpendProof::decode(r));
@@ -684,19 +715,38 @@ void Broker::restore_locked(std::span<const std::uint8_t> snapshot) {
   // Parsed completely: commit (keys first, then ledgers).
   signer_ = blindsig::BlindSigner(grp_, secret);
   identity_ = sig::KeyPair::from_secret(grp_, secret);
-  next_session_ = next_session;
-  coins_issued_ = coins_issued;
-  fiat_collected_ = fiat_collected;
-  fiat_paid_out_ = fiat_paid_out;
+  counters_ = counters;
   accounts_ = std::move(accounts);
-  tables_ = std::move(tables);
   deposits_ = std::move(deposits);
   renewals_ = std::move(renewals);
   witness_faults_ = std::move(faults);
   renewal_fraud_proofs_ = std::move(fraud);
+  drop_sessions_locked();
+  std::size_t held = 0;
+  for (auto& table : tables) install_table(std::move(table), held);
+  for (const auto& delta : deltas) apply_delta(delta, held);
+  // Versions past the recovered history were never durable.
+  tables_.erase(tables_.begin() + static_cast<std::ptrdiff_t>(held),
+                tables_.end());
+}
+
+void Broker::drop_sessions_locked() {
   withdrawal_sessions_.clear();
   completed_withdrawals_.clear();
   renewal_sessions_.clear();
+}
+
+void Broker::install_table(WitnessTable table, std::size_t& held) {
+  // Tables are append-only in version order.  A version already present
+  // is overwritten, never freed: clients hold references to it.
+  const std::uint32_t version = table.version();
+  if (version == 0 || version > held + 1)
+    throw wire::DecodeError("broker delta: table version gap");
+  if (version <= tables_.size())
+    tables_[version - 1] = std::move(table);
+  else
+    tables_.push_back(std::move(table));
+  held = std::max<std::size_t>(held, version);
 }
 
 // ---- store journaling ------------------------------------------------------
@@ -705,135 +755,39 @@ void Broker::journal(const wire::Writer& w) {
   if (store_ != nullptr && w.size() > 0) store_->append(w.bytes());
 }
 
-void Broker::delta_account(wire::Writer& w, const MerchantId& id) const {
-  const MerchantAccount& a = accounts_.at(id);
-  w.put_u8(kDeltaAccount);
-  w.put_string(id);
-  w.put_bigint(a.key.y);
-  w.put_u32(a.deposit_remaining);
-  w.put_i64(a.balance);
-  w.put_u64(a.weight);
-  w.put_u8(a.flagged ? 1 : 0);
-}
-
-void Broker::delta_counters(wire::Writer& w) const {
-  w.put_u8(kDeltaCounters);
-  w.put_u64(next_session_);
-  w.put_u64(coins_issued_);
-  w.put_i64(fiat_collected_);
-  w.put_i64(fiat_paid_out_);
-}
-
-void Broker::delta_deposit(wire::Writer& w, const Hash256& hash) const {
-  const DepositRecord& record = deposits_.at(hash);
-  w.put_u8(kDeltaDeposit);
-  w.put_bytes(hash);
-  record.st.encode(w);
-  w.put_string(record.depositor);
-}
-
-void Broker::delta_renewal(wire::Writer& w, const Hash256& hash) const {
-  const RenewalRecord& record = renewals_.at(hash);
-  w.put_u8(kDeltaRenewal);
-  w.put_bytes(hash);
-  record.coin.encode(w);
-  w.put_bigint(record.proof.r1);
-  w.put_bigint(record.proof.r2);
-  w.put_i64(record.datetime);
-}
-
-void Broker::delta_table(wire::Writer& w, const WitnessTable& table) {
-  w.put_u8(kDeltaTable);
-  table.encode(w);
-}
-
-void Broker::delta_witness_fault(wire::Writer& w,
-                                 const WitnessFaultProof& fault) {
-  w.put_u8(kDeltaWitnessFault);
-  w.put_bytes(fault.coin_hash);
-  fault.first.encode(w);
-  fault.second.encode(w);
-  w.put_string(fault.witness);
-}
-
-void Broker::delta_fraud_proof(wire::Writer& w,
-                               const DoubleSpendProof& proof) {
-  w.put_u8(kDeltaFraudProof);
-  proof.encode(w);
-}
-
-void Broker::apply_delta(std::span<const std::uint8_t> delta) {
+void Broker::apply_delta(std::span<const std::uint8_t> delta,
+                         std::size_t& held) {
   wire::Reader r(delta);
   while (!r.at_end()) {
     switch (r.get_u8()) {
-      case kDeltaAccount: {
-        MerchantId id = r.get_string();
-        MerchantAccount a;
-        a.key.y = r.get_bigint();
-        a.deposit_remaining = r.get_u32();
-        a.balance = r.get_i64();
-        a.weight = r.get_u64();
-        a.flagged = r.get_u8() != 0;
-        accounts_[id] = std::move(a);
+      case kDeltaAccount:
+        upsert(accounts_, Codec::account(r));
         break;
-      }
-      case kDeltaTable: {
-        WitnessTable table = WitnessTable::decode(r);
-        // Tables are append-only in version order; a replayed record for a
-        // version we already hold (checkpoint raced ahead) is last-wins.
-        if (table.version() == tables_.size() + 1)
-          tables_.push_back(std::move(table));
-        else if (table.version() >= 1 && table.version() <= tables_.size())
-          tables_[table.version() - 1] = std::move(table);
-        else
-          throw wire::DecodeError("broker delta: table version gap");
+      case kDeltaTable:
+        install_table(WitnessTable::decode(r), held);
         break;
-      }
-      case kDeltaCounters: {
-        next_session_ = r.get_u64();
-        coins_issued_ = r.get_u64();
-        fiat_collected_ = r.get_i64();
-        fiat_paid_out_ = r.get_i64();
+      case kDeltaCounters:
+        counters_ = Codec::counters(r);
         break;
-      }
-      case kDeltaDeposit: {
-        Hash256 hash = snapshot_hash(r);
-        DepositRecord record;
-        record.st = SignedTranscript::decode(r);
-        record.depositor = r.get_string();
-        deposits_[hash] = std::move(record);
+      case kDeltaDeposit:
+        upsert(deposits_, Codec::deposit(r));
         break;
-      }
-      case kDeltaRenewal: {
-        Hash256 hash = snapshot_hash(r);
-        RenewalRecord record;
-        record.coin = Coin::decode(r);
-        record.proof.r1 = r.get_bigint();
-        record.proof.r2 = r.get_bigint();
-        record.datetime = r.get_i64();
-        renewals_[hash] = std::move(record);
+      case kDeltaRenewal:
+        upsert(renewals_, Codec::renewal(r));
         break;
-      }
-      case kDeltaWitnessFault: {
-        WitnessFaultProof fault;
-        fault.coin_hash = snapshot_hash(r);
-        fault.first = SignedTranscript::decode(r);
-        fault.second = SignedTranscript::decode(r);
-        fault.witness = r.get_string();
-        witness_faults_.push_back(std::move(fault));
+      case kDeltaWitnessFault:
+        witness_faults_.push_back(Codec::witness_fault(r));
         break;
-      }
-      case kDeltaFraudProof: {
+      case kDeltaFraudProof:
         renewal_fraud_proofs_.push_back(DoubleSpendProof::decode(r));
         break;
-      }
       default:
         throw wire::DecodeError("broker delta: unknown tag");
     }
   }
 }
 
-void Broker::attach_store(store::Store& store) {
+void Broker::attach_store(store::LogStore& store) {
   sync::MutexLock lock(mu_);
   // Re-attach after a crash/restart: the previous store may already be
   // destroyed, so drop the pointer before restore_locked can checkpoint
@@ -847,8 +801,7 @@ void Broker::attach_store(store::Store& store) {
     return;
   }
   store::Recovered rec = store.recover();
-  restore_locked(rec.snapshot);
-  for (const auto& delta : rec.deltas) apply_delta(delta);
+  restore_locked(rec.snapshot, rec.deltas);
   // Set last: restore/replay above must not journal into the store they
   // are reading from.
   store_ = &store;

@@ -37,7 +37,7 @@
 #include "ecash/coin.h"
 #include "ecash/transcript.h"
 #include "ecash/witness_table.h"
-#include "store/store.h"
+#include "store/log_store.h"
 #include "sync/annotated.h"
 
 namespace p2pcash::ecash {
@@ -225,7 +225,7 @@ class Broker {
   }
   std::uint64_t coins_issued() const {
     sync::MutexLock lock(mu_);
-    return coins_issued_;
+    return counters_.coins_issued;
   }
   std::uint64_t coins_deposited() const {
     sync::MutexLock lock(mu_);
@@ -233,11 +233,11 @@ class Broker {
   }
   std::int64_t fiat_collected() const {
     sync::MutexLock lock(mu_);
-    return fiat_collected_;
+    return counters_.fiat_collected;
   }
   std::int64_t fiat_paid_out() const {
     sync::MutexLock lock(mu_);
-    return fiat_paid_out_;
+    return counters_.fiat_paid_out;
   }
 
   // ---- crash recovery --------------------------------------------------
@@ -249,11 +249,21 @@ class Broker {
   // rebuilds a broker atomically.  Open withdrawal/renewal sessions are
   // deliberately NOT persisted: an unanswered session is simply retried by
   // the client, and never answering twice is exactly the safe failure mode.
+  //
+  // Published tables are restored in place: a version the broker already
+  // holds keeps its address, so references from current_table()/table()
+  // stay valid across a restore or a store recovery.
 
   std::vector<std::uint8_t> snapshot_state() const;
   /// Throws wire::DecodeError on malformed input; state unchanged on throw.
   /// If a store is attached, the restored state is checkpointed into it.
   void restore_state(std::span<const std::uint8_t> snapshot);
+  /// Forgets every open withdrawal/renewal session and every answered
+  /// withdrawal: the volatile state a process restart loses.
+  void drop_sessions() {
+    sync::MutexLock lock(mu_);
+    drop_sessions_locked();
+  }
 
   // ---- durable store ---------------------------------------------------
   //
@@ -269,7 +279,7 @@ class Broker {
   /// callers).  An empty store receives a genesis checkpoint (making the
   /// signing key itself durable); a non-empty store is recovered from:
   /// the broker's entire state is replaced by checkpoint + deltas.
-  void attach_store(store::Store& store);
+  void attach_store(store::LogStore& store);
   /// Compacts the attached store to one checkpoint of the current state.
   /// No-op when detached.
   void checkpoint_store();
@@ -290,6 +300,15 @@ class Broker {
     nizk::Response proof;
     Timestamp datetime;
   };
+  struct Counters {
+    std::uint64_t next_session = 1;
+    std::uint64_t coins_issued = 0;
+    std::int64_t fiat_collected = 0;
+    std::int64_t fiat_paid_out = 0;
+  };
+  /// The one encoder and decoder per persisted record (broker.cpp), shared
+  /// by the checkpoint and the delta journal.
+  struct Codec;
 
   CoinInfo make_info(Cents denomination, Timestamp now) const
       P2P_REQUIRES(mu_);
@@ -312,30 +331,25 @@ class Broker {
   // and appends them as ONE log record, so a torn tail can never persist
   // half an operation.  Sub-delta appliers are last-wins per key.
   std::vector<std::uint8_t> snapshot_locked() const P2P_REQUIRES(mu_);
-  void restore_locked(std::span<const std::uint8_t> snapshot)
+  /// Replaces the durable state with `snapshot`, then replays `deltas`.
+  void restore_locked(std::span<const std::uint8_t> snapshot,
+                      std::span<const std::vector<std::uint8_t>> deltas = {})
       P2P_REQUIRES(mu_);
+  void drop_sessions_locked() P2P_REQUIRES(mu_);
+  /// Installs a recovered table version in place (see restore_state);
+  /// `held` counts the versions recovered so far.
+  void install_table(WitnessTable table, std::size_t& held) P2P_REQUIRES(mu_);
   /// Re-applies one journaled delta record (recovery replay).
-  void apply_delta(std::span<const std::uint8_t> delta) P2P_REQUIRES(mu_);
+  void apply_delta(std::span<const std::uint8_t> delta, std::size_t& held)
+      P2P_REQUIRES(mu_);
   /// Appends `w` as one delta record; no-op when no store is attached.
   void journal(const wire::Writer& w) P2P_REQUIRES(mu_);
-  void delta_account(wire::Writer& w, const MerchantId& id) const
-      P2P_REQUIRES(mu_);
-  void delta_counters(wire::Writer& w) const P2P_REQUIRES(mu_);
-  void delta_deposit(wire::Writer& w, const Hash256& hash) const
-      P2P_REQUIRES(mu_);
-  void delta_renewal(wire::Writer& w, const Hash256& hash) const
-      P2P_REQUIRES(mu_);
-  static void delta_table(wire::Writer& w, const WitnessTable& table);
-  static void delta_witness_fault(wire::Writer& w,
-                                  const WitnessFaultProof& fault);
-  static void delta_fraud_proof(wire::Writer& w,
-                                const DoubleSpendProof& proof);
 
   group::SchnorrGroup grp_;  // immutable shared parameters: no guard
   bn::Rng& rng_;             // external; only drawn from under mu_
   /// Set by attach_store while quiescent (same contract as the key pair in
   /// public_key()), then only read — so unguarded reads never race.
-  store::Store* store_ = nullptr;
+  store::LogStore* store_ = nullptr;
   /// Serializes every public entry point (see the thread-safety note in
   /// the header comment).  Private helpers assume it is already held.
   mutable sync::Mutex mu_{"ecash.broker", sync::level::kService};
@@ -349,7 +363,6 @@ class Broker {
   /// references from current_table()/table(), which must stay valid.
   std::deque<WitnessTable> tables_ P2P_GUARDED_BY(mu_);  // index i = v i+1
 
-  std::uint64_t next_session_ P2P_GUARDED_BY(mu_) = 1;
   std::map<std::uint64_t, blindsig::BlindSigner::Session> withdrawal_sessions_
       P2P_GUARDED_BY(mu_);
   std::map<std::uint64_t, blindsig::BlindSigner::Session> renewal_sessions_
@@ -371,9 +384,7 @@ class Broker {
 
   std::vector<WitnessFaultProof> witness_faults_ P2P_GUARDED_BY(mu_);
   std::vector<DoubleSpendProof> renewal_fraud_proofs_ P2P_GUARDED_BY(mu_);
-  std::uint64_t coins_issued_ P2P_GUARDED_BY(mu_) = 0;
-  std::int64_t fiat_collected_ P2P_GUARDED_BY(mu_) = 0;
-  std::int64_t fiat_paid_out_ P2P_GUARDED_BY(mu_) = 0;
+  Counters counters_ P2P_GUARDED_BY(mu_);
 };
 
 }  // namespace p2pcash::ecash

@@ -147,7 +147,6 @@ void WitnessCommitment::encode(wire::Writer& w) const {
   w.put_bigint(witness_sig.s);
 }
 
-namespace {
 Hash256 read_hash(wire::Reader& r) {
   auto bytes = r.get_bytes();
   if (bytes.size() != 32) throw wire::DecodeError("expected 32-byte hash");
@@ -155,7 +154,6 @@ Hash256 read_hash(wire::Reader& r) {
   std::copy(bytes.begin(), bytes.end(), h.begin());
   return h;
 }
-}  // namespace
 
 WitnessCommitment WitnessCommitment::decode(wire::Reader& r) {
   WitnessCommitment c;

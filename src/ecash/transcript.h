@@ -25,6 +25,9 @@ namespace p2pcash::ecash {
 
 using Hash256 = std::array<std::uint8_t, 32>;
 
+/// Reads a length-prefixed hash; wire::DecodeError unless it is 32 bytes.
+Hash256 read_hash(wire::Reader& r);
+
 /// d = H0(C, I_M, date/time) — the payment challenge. Counts one Hash.
 bn::BigInt payment_challenge(const group::SchnorrGroup& grp, const Coin& coin,
                              const MerchantId& merchant, Timestamp datetime);

@@ -19,6 +19,68 @@ constexpr std::uint8_t kDeltaSpentErase = 5;
 constexpr std::uint8_t kDeltaCounters = 6;
 }  // namespace
 
+// One encoder and one decoder per persisted record.  The checkpoint
+// (snapshot_state/restore_state) and the delta journal (Codec::delta/
+// apply_delta) both go through these, so the two cannot drift apart.
+// Braced initializers evaluate left to right, so each decoder reads its
+// fields in the encoder's order.
+struct WitnessService::Codec {
+  static void put(wire::Writer& w, const Hash256& hash) { w.put_bytes(hash); }
+
+  static void put(wire::Writer& w, const Hash256& hash,
+                  const CommitmentRecord& record) {
+    put(w, hash);
+    record.commitment.encode(w);
+    record.value.encode(w);
+    w.put_u8(record.consumed ? 1 : 0);
+  }
+  static std::pair<Hash256, CommitmentRecord> commitment(wire::Reader& r) {
+    return {read_hash(r),
+            CommitmentRecord{WitnessCommitment::decode(r),
+                             CommittedValue::decode(r), r.get_u8() != 0}};
+  }
+
+  static void put(wire::Writer& w, const Hash256& hash,
+                  const SpentRecord& record) {
+    put(w, hash);
+    record.transcript.encode(w);
+    record.endorsement.encode(w);
+  }
+  static std::pair<Hash256, SpentRecord> spent(wire::Reader& r) {
+    return {read_hash(r), SpentRecord{PaymentTranscript::decode(r),
+                                      WitnessEndorsement::decode(r)}};
+  }
+
+  static void put(wire::Writer& w, const Hash256& hash,
+                  const DoubleSpentRecord& record) {
+    put(w, hash);
+    record.proof.encode(w);
+  }
+  static std::pair<Hash256, DoubleSpentRecord> double_spent(wire::Reader& r) {
+    return {read_hash(r), DoubleSpentRecord{DoubleSpendProof::decode(r)}};
+  }
+
+  static void put(wire::Writer& w, const Hash256& hash,
+                  const std::vector<TransferLink>& chain) {
+    put(w, hash);
+    w.put_u32(static_cast<std::uint32_t>(chain.size()));
+    for (const auto& link : chain) link.encode(w);
+  }
+  static std::pair<Hash256, std::vector<TransferLink>> chain(wire::Reader& r) {
+    std::pair<Hash256, std::vector<TransferLink>> out{read_hash(r), {}};
+    for (std::uint32_t j = 0, m = r.get_u32(); j < m; ++j)
+      out.second.push_back(TransferLink::decode(r));
+    return out;
+  }
+
+  /// One tagged sub-delta: the tag, then the record's encoding.
+  template <typename... Record>
+  static void delta(wire::Writer& w, std::uint8_t tag, const Record&... rec) {
+    w.put_u8(tag);
+    put(w, rec...);
+  }
+};
+
 WitnessService::WitnessService(group::SchnorrGroup grp,
                                sig::PublicKey broker_key, MerchantId id,
                                sig::KeyPair key, bn::Rng& rng)
@@ -74,7 +136,7 @@ Outcome<WitnessCommitment> WitnessService::request_commitment(
   s.commitments[coin_hash] =
       CommitmentRecord{commitment, std::move(value), /*consumed=*/false};
   wire::Writer w;
-  delta_commitment(w, coin_hash, s.commitments[coin_hash]);
+  Codec::delta(w, kDeltaCommitment, coin_hash, s.commitments[coin_hash]);
   journal(w);
   return commitment;
 }
@@ -255,7 +317,7 @@ Outcome<SignResult> WitnessService::finish_sign(
                   commit_it->second.commitment.nonce) {
             commit_it->second.consumed = true;
             wire::Writer w;
-            delta_commitment(w, coin_hash, commit_it->second);
+            Codec::delta(w, kDeltaCommitment, coin_hash, commit_it->second);
             journal(w);
           }
           return SignResult{std::move(proof)};
@@ -310,9 +372,9 @@ Outcome<SignResult> WitnessService::finish_sign(
       s.spent.erase(coin_hash);
       commit_it->second.consumed = true;  // promise discharged by the proof
       wire::Writer w;
-      delta_double_spent(w, coin_hash, s.double_spent[coin_hash]);
-      delta_spent_erase(w, coin_hash);
-      delta_commitment(w, coin_hash, commit_it->second);
+      Codec::delta(w, kDeltaDoubleSpent, coin_hash, s.double_spent[coin_hash]);
+      Codec::delta(w, kDeltaSpentErase, coin_hash);
+      Codec::delta(w, kDeltaCommitment, coin_hash, commit_it->second);
       journal(w);
       return SignResult{std::move(proof)};
     }
@@ -330,8 +392,8 @@ Outcome<SignResult> WitnessService::finish_sign(
     commit_it->second.consumed = true;
     signed_new = true;
     wire::Writer w;
-    delta_spent(w, coin_hash, s.spent[coin_hash]);
-    delta_commitment(w, coin_hash, commit_it->second);
+    Codec::delta(w, kDeltaSpent, coin_hash, s.spent[coin_hash]);
+    Codec::delta(w, kDeltaCommitment, coin_hash, commit_it->second);
     journal(w);
     return SignResult{std::move(endorsement)};
   }();
@@ -346,7 +408,8 @@ Outcome<SignResult> WitnessService::finish_sign(
       // the two costs one counter tick of an unacknowledged operation —
       // a performance statistic, never a safety invariant.
       wire::Writer w;
-      delta_counters(w, coins_signed_);
+      w.put_u8(kDeltaCounters);
+      w.put_u64(coins_signed_);
       journal(w);
     }
   }
@@ -454,7 +517,7 @@ WitnessService::sign_transfer(const Coin& coin, const bn::BigInt& new_a,
       proof.secrets = *extracted;
       s.double_spent[coin_hash] = DoubleSpentRecord{proof};
       wire::Writer w;
-      delta_double_spent(w, coin_hash, s.double_spent[coin_hash]);
+      Codec::delta(w, kDeltaDoubleSpent, coin_hash, s.double_spent[coin_hash]);
       journal(w);
       return TransferResult{std::move(proof)};
     }
@@ -478,8 +541,8 @@ WitnessService::sign_transfer(const Coin& coin, const bn::BigInt& new_a,
       s.double_spent[coin_hash] = DoubleSpentRecord{proof};
       s.spent.erase(coin_hash);
       wire::Writer w;
-      delta_double_spent(w, coin_hash, s.double_spent[coin_hash]);
-      delta_spent_erase(w, coin_hash);
+      Codec::delta(w, kDeltaDoubleSpent, coin_hash, s.double_spent[coin_hash]);
+      Codec::delta(w, kDeltaSpentErase, coin_hash);
       journal(w);
       return TransferResult{std::move(proof)};
     }
@@ -509,7 +572,7 @@ WitnessService::sign_transfer(const Coin& coin, const bn::BigInt& new_a,
   chain = coin.transfers;
   chain.push_back(link);
   wire::Writer w;
-  delta_chain(w, coin_hash, chain);
+  Codec::delta(w, kDeltaChain, coin_hash, chain);
   journal(w);
   return TransferResult{std::move(link)};
 }
@@ -530,18 +593,6 @@ bool WitnessService::has_double_spend_record(const Hash256& coin_hash) const {
   sync::MutexLock lock(s.mu);
   return s.double_spent.contains(coin_hash);
 }
-
-namespace {
-void put_hash256(wire::Writer& w, const Hash256& h) { w.put_bytes(h); }
-Hash256 get_hash256(wire::Reader& r) {
-  auto bytes = r.get_bytes();
-  if (bytes.size() != 32)
-    throw wire::DecodeError("witness snapshot: bad hash width");
-  Hash256 h;
-  std::copy(bytes.begin(), bytes.end(), h.begin());
-  return h;
-}
-}  // namespace
 
 std::vector<std::uint8_t> WitnessService::snapshot_state() const {
   // Stripes are keyed by the hash's most-significant prefix, so merging
@@ -570,29 +621,13 @@ std::vector<std::uint8_t> WitnessService::snapshot_state() const {
   w.put_string("p2pcash/witness-snapshot/v1");
   w.put_u64(coins_signed);
   w.put_u32(static_cast<std::uint32_t>(commitments.size()));
-  for (const auto& [hash, record] : commitments) {
-    put_hash256(w, hash);
-    record.commitment.encode(w);
-    record.value.encode(w);
-    w.put_u8(record.consumed ? 1 : 0);
-  }
+  for (const auto& [hash, record] : commitments) Codec::put(w, hash, record);
   w.put_u32(static_cast<std::uint32_t>(spent.size()));
-  for (const auto& [hash, record] : spent) {
-    put_hash256(w, hash);
-    record.transcript.encode(w);
-    record.endorsement.encode(w);
-  }
+  for (const auto& [hash, record] : spent) Codec::put(w, hash, record);
   w.put_u32(static_cast<std::uint32_t>(double_spent.size()));
-  for (const auto& [hash, record] : double_spent) {
-    put_hash256(w, hash);
-    record.proof.encode(w);
-  }
+  for (const auto& [hash, record] : double_spent) Codec::put(w, hash, record);
   w.put_u32(static_cast<std::uint32_t>(chains.size()));
-  for (const auto& [hash, chain] : chains) {
-    put_hash256(w, hash);
-    w.put_u32(static_cast<std::uint32_t>(chain.size()));
-    for (const auto& link : chain) link.encode(w);
-  }
+  for (const auto& [hash, chain] : chains) Codec::put(w, hash, chain);
   return w.take();
 }
 
@@ -610,34 +645,18 @@ void WitnessService::restore_state(std::span<const std::uint8_t> snapshot) {
     std::map<Hash256, std::vector<TransferLink>> chains;
   };
   std::array<Staging, kStripeCount> staging;
+  // Reads one section: a count, then that many records of one type.
+  auto stage = [&](auto decode, auto Staging::*map) {
+    for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
+      auto entry = decode(r);
+      (staging[stripe_index(entry.first)].*map).insert(std::move(entry));
+    }
+  };
   const std::uint64_t coins_signed = r.get_u64();
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = get_hash256(r);
-    CommitmentRecord record;
-    record.commitment = WitnessCommitment::decode(r);
-    record.value = CommittedValue::decode(r);
-    record.consumed = r.get_u8() != 0;
-    staging[stripe_index(hash)].commitments.emplace(hash, std::move(record));
-  }
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = get_hash256(r);
-    SpentRecord record;
-    record.transcript = PaymentTranscript::decode(r);
-    record.endorsement = WitnessEndorsement::decode(r);
-    staging[stripe_index(hash)].spent.emplace(hash, std::move(record));
-  }
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = get_hash256(r);
-    staging[stripe_index(hash)].double_spent.emplace(
-        hash, DoubleSpentRecord{DoubleSpendProof::decode(r)});
-  }
-  for (std::uint32_t i = 0, n = r.get_u32(); i < n; ++i) {
-    Hash256 hash = get_hash256(r);
-    std::vector<TransferLink> chain;
-    for (std::uint32_t j = 0, m = r.get_u32(); j < m; ++j)
-      chain.push_back(TransferLink::decode(r));
-    staging[stripe_index(hash)].chains.emplace(hash, std::move(chain));
-  }
+  stage(Codec::commitment, &Staging::commitments);
+  stage(Codec::spent, &Staging::spent);
+  stage(Codec::double_spent, &Staging::double_spent);
+  stage(Codec::chain, &Staging::chains);
   r.expect_end();
   for (std::size_t i = 0; i < kStripeCount; ++i) {
     Stripe& s = stripes_[i];
@@ -662,94 +681,30 @@ void WitnessService::journal(const wire::Writer& w) {
   if (store_ != nullptr && w.size() > 0) store_->append(w.bytes());
 }
 
-void WitnessService::delta_commitment(wire::Writer& w, const Hash256& hash,
-                                      const CommitmentRecord& record) {
-  w.put_u8(kDeltaCommitment);
-  put_hash256(w, hash);
-  record.commitment.encode(w);
-  record.value.encode(w);
-  w.put_u8(record.consumed ? 1 : 0);
-}
-
-void WitnessService::delta_spent(wire::Writer& w, const Hash256& hash,
-                                 const SpentRecord& record) {
-  w.put_u8(kDeltaSpent);
-  put_hash256(w, hash);
-  record.transcript.encode(w);
-  record.endorsement.encode(w);
-}
-
-void WitnessService::delta_double_spent(wire::Writer& w, const Hash256& hash,
-                                        const DoubleSpentRecord& record) {
-  w.put_u8(kDeltaDoubleSpent);
-  put_hash256(w, hash);
-  record.proof.encode(w);
-}
-
-void WitnessService::delta_chain(wire::Writer& w, const Hash256& hash,
-                                 const std::vector<TransferLink>& chain) {
-  w.put_u8(kDeltaChain);
-  put_hash256(w, hash);
-  w.put_u32(static_cast<std::uint32_t>(chain.size()));
-  for (const auto& link : chain) link.encode(w);
-}
-
-void WitnessService::delta_spent_erase(wire::Writer& w, const Hash256& hash) {
-  w.put_u8(kDeltaSpentErase);
-  put_hash256(w, hash);
-}
-
-void WitnessService::delta_counters(wire::Writer& w,
-                                    std::uint64_t coins_signed) {
-  w.put_u8(kDeltaCounters);
-  w.put_u64(coins_signed);
-}
-
 void WitnessService::apply_delta(std::span<const std::uint8_t> delta) {
+  // Last-wins install of one decoded (coin hash, record) under its stripe.
+  auto install = [this](auto entry, auto Stripe::*map) {
+    Stripe& s = stripe_for(entry.first);
+    sync::MutexLock lock(s.mu);
+    (s.*map)[entry.first] = std::move(entry.second);
+  };
   wire::Reader r(delta);
   while (!r.at_end()) {
     switch (r.get_u8()) {
-      case kDeltaCommitment: {
-        Hash256 hash = get_hash256(r);
-        CommitmentRecord record;
-        record.commitment = WitnessCommitment::decode(r);
-        record.value = CommittedValue::decode(r);
-        record.consumed = r.get_u8() != 0;
-        Stripe& s = stripe_for(hash);
-        sync::MutexLock lock(s.mu);
-        s.commitments[hash] = std::move(record);
+      case kDeltaCommitment:
+        install(Codec::commitment(r), &Stripe::commitments);
         break;
-      }
-      case kDeltaSpent: {
-        Hash256 hash = get_hash256(r);
-        SpentRecord record;
-        record.transcript = PaymentTranscript::decode(r);
-        record.endorsement = WitnessEndorsement::decode(r);
-        Stripe& s = stripe_for(hash);
-        sync::MutexLock lock(s.mu);
-        s.spent[hash] = std::move(record);
+      case kDeltaSpent:
+        install(Codec::spent(r), &Stripe::spent);
         break;
-      }
-      case kDeltaDoubleSpent: {
-        Hash256 hash = get_hash256(r);
-        DoubleSpentRecord record{DoubleSpendProof::decode(r)};
-        Stripe& s = stripe_for(hash);
-        sync::MutexLock lock(s.mu);
-        s.double_spent[hash] = std::move(record);
+      case kDeltaDoubleSpent:
+        install(Codec::double_spent(r), &Stripe::double_spent);
         break;
-      }
-      case kDeltaChain: {
-        Hash256 hash = get_hash256(r);
-        std::vector<TransferLink> chain;
-        for (std::uint32_t j = 0, m = r.get_u32(); j < m; ++j)
-          chain.push_back(TransferLink::decode(r));
-        Stripe& s = stripe_for(hash);
-        sync::MutexLock lock(s.mu);
-        s.chains[hash] = std::move(chain);
+      case kDeltaChain:
+        install(Codec::chain(r), &Stripe::chains);
         break;
-      }
       case kDeltaSpentErase: {
-        Hash256 hash = get_hash256(r);
+        Hash256 hash = read_hash(r);
         Stripe& s = stripe_for(hash);
         sync::MutexLock lock(s.mu);
         s.spent.erase(hash);
@@ -767,7 +722,7 @@ void WitnessService::apply_delta(std::span<const std::uint8_t> delta) {
   }
 }
 
-void WitnessService::attach_store(store::Store& store) {
+void WitnessService::attach_store(store::LogStore& store) {
   // Re-attach after a crash/restart: the previous store may already be
   // destroyed, so drop the pointer before restore_state can checkpoint
   // through it.

@@ -42,7 +42,7 @@
 #include <variant>
 
 #include "ecash/transcript.h"
-#include "store/store.h"
+#include "store/log_store.h"
 #include "sync/annotated.h"
 
 namespace p2pcash::ecash {
@@ -164,7 +164,7 @@ class WitnessService {
 
   /// Attaches a store while the service is quiescent.  Empty store →
   /// genesis checkpoint; non-empty → state replaced by checkpoint + deltas.
-  void attach_store(store::Store& store);
+  void attach_store(store::LogStore& store);
   /// Compacts the attached store to one checkpoint. No-op when detached.
   void checkpoint_store();
   bool has_store() const { return store_ != nullptr; }
@@ -185,6 +185,9 @@ class WitnessService {
   struct DoubleSpentRecord {
     DoubleSpendProof proof;
   };
+  /// The one encoder and decoder per persisted record (witness.cpp),
+  /// shared by the checkpoint and the delta journal.
+  struct Codec;
 
   /// Coin-keyed state is sharded by coin-hash prefix: the top kStripeBits
   /// of the hash's first byte pick the stripe.  Because the stripe index
@@ -255,16 +258,6 @@ class WitnessService {
   // point → one log record → torn tails never persist half a transition.
   /// Appends `w` as one delta record; no-op when no store is attached.
   void journal(const wire::Writer& w);
-  static void delta_commitment(wire::Writer& w, const Hash256& hash,
-                               const CommitmentRecord& record);
-  static void delta_spent(wire::Writer& w, const Hash256& hash,
-                          const SpentRecord& record);
-  static void delta_double_spent(wire::Writer& w, const Hash256& hash,
-                                 const DoubleSpentRecord& record);
-  static void delta_chain(wire::Writer& w, const Hash256& hash,
-                          const std::vector<TransferLink>& chain);
-  static void delta_spent_erase(wire::Writer& w, const Hash256& hash);
-  static void delta_counters(wire::Writer& w, std::uint64_t coins_signed);
   /// Re-applies one journaled delta record (recovery replay); takes the
   /// touched coin's stripe (or mu_) per sub-record.
   void apply_delta(std::span<const std::uint8_t> delta);
@@ -276,7 +269,7 @@ class WitnessService {
   bn::Rng& rng_;               // external; only drawn from under rng_mu_
   /// Set by attach_store while quiescent, then only read — unguarded reads
   /// never race (same contract as Broker::store_).
-  store::Store* store_ = nullptr;
+  store::LogStore* store_ = nullptr;
   /// Guards the scalar config/accounting fields.  Never acquired while a
   /// stripe is held (kService > kShard: service lock first or not at all).
   mutable sync::Mutex mu_{"ecash.witness", sync::level::kService};

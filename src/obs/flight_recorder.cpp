@@ -17,7 +17,8 @@ namespace {
 template <std::size_t N>
 void copy_field(char (&dst)[N], std::string_view src) {
   const std::size_t n = src.size() < N - 1 ? src.size() : N - 1;
-  std::memcpy(dst, src.data(), n);
+  // An empty view's data() may be null, which memcpy must never see.
+  if (n > 0) std::memcpy(dst, src.data(), n);
   dst[n] = '\0';
 }
 

@@ -25,9 +25,9 @@ namespace p2pcash::simnet {
 
 class FaultPlan {
  public:
-  /// Called with the node id at crash time (e.g. snapshot durable state —
-  /// the synchronous-WAL model) and at restart time (e.g. rebuild the
-  /// service from the snapshot), while the node is still marked down.
+  /// Called with the node id at crash time (e.g. tear the node's log at an
+  /// unsynced byte) and at restart time (e.g. recover the service from its
+  /// log and drop volatile state), while the node is still marked down.
   using RecoveryHook = std::function<void(NodeId)>;
 
   explicit FaultPlan(Network& net) : net_(net) {}

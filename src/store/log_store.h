@@ -1,4 +1,22 @@
-// log_store.h — append-only CRC-framed record log with group commit.
+// log_store.h — the durable-state store for Broker and WitnessService: an
+// append-only CRC-framed record log with group commit.
+//
+// Both services keep their coin/deposit/double-spend state in memory and
+// persist it here as
+//
+//   * **checkpoints** — a full canonical snapshot (the same bytes as
+//     snapshot_state()), written on attach and by compaction; and
+//   * **deltas** — small typed records appended by every mutating entry
+//     point *before* the operation is acknowledged, then made durable by
+//     commit().
+//
+// Recovery = restore the last checkpoint, then re-apply the deltas after
+// it in append order (each service's apply_delta is last-wins per key, so
+// replay is idempotent).  The contract the crash-point matrix enforces:
+// **a record covered by a returned commit() is never lost**, and a torn
+// tail past the last commit is truncated silently — the service simply
+// never acknowledged those operations.  Deterministic runs put the log on
+// a MemVfs, whose crash_file() models a kill at any byte.
 //
 // On-disk format (all integers big-endian, matching wire/codec):
 //
@@ -42,7 +60,6 @@
 #include <string>
 #include <vector>
 
-#include "store/store.h"
 #include "store/vfs.h"
 #include "sync/annotated.h"
 
@@ -61,7 +78,15 @@ inline constexpr std::uint8_t kRecordDelta = 1;
 /// Bytes of framing around each payload (length + CRC).
 inline constexpr std::size_t kFrameHeaderBytes = 8;
 
-class LogStore : public Store {
+/// What a store hands back on open: the newest checkpoint (empty when the
+/// store has never been checkpointed) and every delta appended after it,
+/// in append order.
+struct Recovered {
+  std::vector<std::uint8_t> snapshot;
+  std::vector<std::vector<std::uint8_t>> deltas;
+};
+
+class LogStore {
  public:
   struct Options {
     /// Upper bound on a single record's payload.  A length prefix above
@@ -91,11 +116,27 @@ class LogStore : public Store {
   LogStore(Vfs& vfs, std::string name)
       : LogStore(vfs, std::move(name), Options()) {}
 
-  bool empty() const override;
-  void append(std::span<const std::uint8_t> delta) override;
-  void commit() override;
-  void checkpoint(std::vector<std::uint8_t> snapshot) override;
-  Recovered recover() override;
+  /// True when nothing has ever been written (services write a genesis
+  /// checkpoint so the signing key itself is durable).
+  bool empty() const;
+
+  /// Appends one delta record.  Cheap and non-durable until commit().
+  /// Thread-safe: services append while holding their own service/stripe
+  /// lock (sync::level::kStore sits below kService and kShard).
+  void append(std::span<const std::uint8_t> delta);
+
+  /// Makes every previously appended delta durable.  Returning means the
+  /// records survive any subsequent crash.  Thread-safe; concurrent
+  /// committers are batched into one fsync (group commit).
+  void commit();
+
+  /// Replaces the log with a single checkpoint record (compaction).
+  /// Durable on return.
+  void checkpoint(std::vector<std::uint8_t> snapshot);
+
+  /// The open-time scan: newest checkpoint + deltas after it.  Called once
+  /// at attach time, before any append.
+  Recovered recover();
 
   Stats stats() const;
 
@@ -138,6 +179,24 @@ class LogStore : public Store {
   obs::Counter* appends_total_ = nullptr;
   obs::Counter* commits_total_ = nullptr;
   obs::Counter* truncated_total_ = nullptr;
+};
+
+/// RAII commit barrier for service entry points.  Declared *before* the
+/// service MutexLock, so the destructor — running after the lock is
+/// released — makes every delta journaled inside the critical section
+/// durable before the entry point returns its acknowledgement to the
+/// caller.  Null store → no-op (a service with no store attached).
+class StoreCommit {
+ public:
+  explicit StoreCommit(LogStore* store) : store_(store) {}
+  ~StoreCommit() {
+    if (store_ != nullptr) store_->commit();
+  }
+  StoreCommit(const StoreCommit&) = delete;
+  StoreCommit& operator=(const StoreCommit&) = delete;
+
+ private:
+  LogStore* store_;
 };
 
 }  // namespace p2pcash::store

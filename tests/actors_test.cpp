@@ -289,5 +289,36 @@ TEST(Actors, ByteAccountingRoughlyMatchesTable2Shape) {
   EXPECT_GT(merchant_bytes, 0u);
 }
 
+// A client added before a broker crash keeps the witness table reference
+// it got at creation; the restart must leave that table alive, with or
+// without durable stores.  (A restore that replaced the tables freed it:
+// the withdrawal read freed memory.)
+class BrokerRestart : public ::testing::TestWithParam<bool> {};
+
+TEST_P(BrokerRestart, EarlierClientWithdrawsAndPaysAfterRestart) {
+  auto& grp = group::SchnorrGroup::test_256();
+  auto opt = fast_options();
+  opt.durable_stores = GetParam();
+  SimWorld world(grp, opt);
+  auto& client = world.add_client();
+  world.crash_broker(/*at=*/1, /*restart_at=*/20);
+  world.sim().run();
+  auto coin = must_withdraw(world, client);
+  ecash::MerchantId target;
+  for (const auto& id : world.merchant_ids()) {
+    if (id != coin.coin.witnesses[0].merchant) {
+      target = id;
+      break;
+    }
+  }
+  std::optional<ClientActor::PayResult> result;
+  client.pay(coin, target, [&](ClientActor::PayResult r) { result = r; });
+  world.sim().run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->accepted) << (result->error ? *result->error : "");
+}
+
+INSTANTIATE_TEST_SUITE_P(DurableStores, BrokerRestart, ::testing::Bool());
+
 }  // namespace
 }  // namespace p2pcash::actors

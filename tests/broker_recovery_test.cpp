@@ -132,6 +132,28 @@ TEST_F(BrokerRecoveryTest, FlagsAndFaultsSurvive) {
   EXPECT_FALSE(table.find(witness_id).has_value());
 }
 
+TEST_F(BrokerRecoveryTest, RecoveryKeepsPublishedTablesInPlace) {
+  // Clients keep the reference current_table() returned (ClientActor holds
+  // it for its whole life), so recovery must update tables in place rather
+  // than free them.
+  const WitnessTable* v1 = &dep_.broker().current_table();
+  crash_and_restore();
+  EXPECT_EQ(&dep_.broker().current_table(), v1);
+
+  // Store recovery on the live broker: the checkpoint holds v1, the delta
+  // after it v2; both keep their addresses.
+  store::MemVfs vfs;
+  auto log = std::make_unique<store::LogStore>(vfs, "broker.log");
+  dep_.broker().attach_store(*log);
+  const WitnessTable* v2 = &dep_.broker().publish_witness_table(1500);
+  log.reset();
+  store::LogStore reopened(vfs, "broker.log");
+  dep_.broker().attach_store(reopened);
+  EXPECT_EQ(dep_.broker().table(1), v1);
+  EXPECT_EQ(&dep_.broker().current_table(), v2);
+  EXPECT_EQ(dep_.broker().current_table().version(), 2u);
+}
+
 TEST_F(BrokerRecoveryTest, CorruptSnapshotsRejectedAtomically) {
   auto coin = withdraw(100);
   auto merchant = non_witness_merchant(coin);

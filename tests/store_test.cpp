@@ -11,7 +11,6 @@
 #include "obs/metrics_registry.h"
 #include "store/crc32c.h"
 #include "store/log_store.h"
-#include "store/store.h"
 #include "store/table_file.h"
 #include "store/vfs.h"
 
@@ -288,23 +287,6 @@ TEST(LogStore, AppendingAfterRecoveryProducesAValidLog) {
   EXPECT_EQ(rec.deltas[1], bytes_of("fresh"));
 }
 
-// ---- SnapshotStore --------------------------------------------------------
-
-TEST(SnapshotStore, ModelsTheLegacySynchronousWal) {
-  SnapshotStore store;
-  EXPECT_TRUE(store.empty());
-  store.checkpoint(bytes_of("snap"));
-  EXPECT_FALSE(store.empty());
-  store.append(bytes_of("d"));
-  EXPECT_EQ(store.delta_count(), 1u);
-  store.commit();  // no-op
-  auto rec = store.recover();
-  EXPECT_EQ(rec.snapshot, bytes_of("snap"));
-  ASSERT_EQ(rec.deltas.size(), 1u);
-  store.checkpoint(bytes_of("snap2"));
-  EXPECT_EQ(store.delta_count(), 0u);  // compaction clears the journal
-}
-
 // ---- PosixVfs + mmap ------------------------------------------------------
 
 TEST(PosixVfs, LogRoundTripsOnARealFilesystem) {
@@ -445,16 +427,18 @@ ScriptResult run_script(Deployment& dep) {
   return result;
 }
 
-TEST(StoreGolden, SnapshotStoreBackedRunIsByteIdenticalToPlain) {
+TEST(StoreGolden, LogStoreBackedRunIsByteIdenticalToPlain) {
   const auto& grp = group::SchnorrGroup::test_256();
   Deployment plain(grp, 8, /*seed=*/77);
   Deployment backed(grp, 8, /*seed=*/77);
 
-  store::SnapshotStore broker_store;
+  store::MemVfs vfs;
+  store::LogStore broker_store(vfs, "broker.log");
   backed.broker().attach_store(broker_store);
-  std::vector<std::unique_ptr<store::SnapshotStore>> witness_stores;
+  std::vector<std::unique_ptr<store::LogStore>> witness_stores;
   for (const auto& id : backed.merchant_ids()) {
-    witness_stores.push_back(std::make_unique<store::SnapshotStore>());
+    witness_stores.push_back(
+        std::make_unique<store::LogStore>(vfs, "witness-" + id + ".log"));
     backed.node(id).witness->attach_store(*witness_stores.back());
   }
 
@@ -464,8 +448,12 @@ TEST(StoreGolden, SnapshotStoreBackedRunIsByteIdenticalToPlain) {
   ASSERT_EQ(got.witness_snapshots.size(), want.witness_snapshots.size());
   for (std::size_t i = 0; i < want.witness_snapshots.size(); ++i)
     EXPECT_EQ(got.witness_snapshots[i], want.witness_snapshots[i]) << i;
-  // The journaling actually ran (the seam was exercised, not bypassed).
-  EXPECT_GT(broker_store.delta_count(), 0u);
+  // The journaling actually ran (the store was exercised, not bypassed).
+  EXPECT_GT(broker_store.stats().appended_records, 0u);
+  std::uint64_t witness_records = 0;
+  for (const auto& store : witness_stores)
+    witness_records += store->stats().appended_records;
+  EXPECT_GT(witness_records, 0u);
 }
 
 TEST(StoreGolden, LogStoreRecoveryReproducesTheExactSnapshotBytes) {
