@@ -2,10 +2,11 @@
 //
 // Same protocol objects as the in-memory Deployment (Broker, Merchant,
 // WitnessService, Wallet), but every protocol step is a network message
-// over simnet, and every handler charges virtual compute time from a
-// CostModel based on the crypto ops it actually performed (recorded by the
-// metrics layer).  This is the harness behind Table 2: payment wall-clock
-// and per-role bytes under PlanetLab latencies with python/openssl costs.
+// over any transport::Transport (simnet or TCP), and every handler charges
+// virtual compute time from a CostModel based on the crypto ops it actually
+// performed (recorded by the metrics layer).  This is the harness behind
+// Table 2: payment wall-clock and per-role bytes under PlanetLab latencies
+// with python/openssl costs.
 //
 // Message flow (payment, n=k=1):
 //   client  -> witness : pay.commit_req (coin_hash, nonce)
@@ -101,6 +102,21 @@ class ProtocolActor : public simnet::Node {
                   std::string_view detail = {});
   /// Closes `ctx`'s span with `status` and clears `ctx`.
   void end_span(obs::TraceContext& ctx, std::string_view status = "ok");
+  /// Counts a reply whose request is already settled (or never was ours)
+  /// and notes it on `ctx`'s span.
+  void ignore_late_reply(const obs::TraceContext& ctx, std::string_view detail);
+  /// Counts a duplicate delivery that was absorbed and notes it on `ctx`.
+  void suppress_duplicate(const obs::TraceContext& ctx,
+                          std::string_view detail);
+
+  /// Answers `msg` with one cost-charged reply: opens the handler span
+  /// `span_name`, runs `body(w)` under op counting, and sends what it wrote
+  /// as the message type it returns once the counted compute is charged.
+  /// A template rather than std::function, so handlers allocate nothing.
+  /// Defined in actors.cpp, the only place it is instantiated.
+  template <typename Body>
+  void reply_after_cost(const Message& msg, std::string_view span_name,
+                        Body&& body);
 
   /// A retried call from this actor to `to` under its retry policy.
   Rpc rpc(NodeId to, std::string type, std::vector<std::uint8_t> payload,

@@ -1,6 +1,5 @@
 #include "actors/cluster.h"
 
-#include <cstdio>
 #include <stdexcept>
 
 namespace p2pcash::actors {
@@ -42,9 +41,7 @@ void Cluster::build(transport::Transport& tx, crypto::ChaChaRng& setup,
   merchants_.reserve(options_.merchants);
   for (std::size_t i = 0; i < options_.merchants; ++i) {
     MerchantSlot slot;
-    char name[32];  // large enough for "m" + any 64-bit index
-    std::snprintf(name, sizeof name, "m%03zu", i);
-    slot.id = name;
+    slot.id = ecash::merchant_name(i);
     auto key = sig::KeyPair::generate(grp_, setup);
     broker_->register_merchant(slot.id, key.public_key(),
                                options_.security_deposit);

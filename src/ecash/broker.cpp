@@ -812,13 +812,4 @@ void Broker::checkpoint_store() {
   if (store_ != nullptr) store_->checkpoint(snapshot_locked());
 }
 
-std::vector<std::uint8_t> Broker::export_table_file(
-    std::uint32_t version) const {
-  sync::MutexLock lock(mu_);
-  const WitnessTable* tbl = table_unlocked(version);
-  if (tbl == nullptr)
-    throw std::invalid_argument("Broker::export_table_file: unknown version");
-  return tbl->to_table_file();
-}
-
 }  // namespace p2pcash::ecash

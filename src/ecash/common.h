@@ -2,6 +2,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -21,6 +22,9 @@ using MerchantId = std::string;
 /// transcript exactly as for a merchant payment, so exchanges get the same
 /// real-time double-spend protection.  Never a valid merchant name.
 inline const char kBrokerCounterparty[] = "@broker";
+
+/// The name of the i-th merchant a deployment registers: "m000", "m001", ...
+MerchantId merchant_name(std::size_t i);
 
 /// Why a protocol participant refused a request.
 enum class RefusalReason : std::uint8_t {

@@ -1,17 +1,8 @@
 #include "ecash/deployment.h"
 
-#include <cstdio>
 #include <stdexcept>
 
 namespace p2pcash::ecash {
-
-namespace {
-MerchantId merchant_name(std::size_t i) {
-  char buf[32];  // large enough for "m" + any 64-bit index
-  std::snprintf(buf, sizeof buf, "m%03zu", i);
-  return buf;
-}
-}  // namespace
 
 Deployment::Deployment(const group::SchnorrGroup& grp, std::size_t n_merchants,
                        std::uint64_t seed, Broker::Config config,
@@ -98,6 +89,27 @@ Outcome<WalletCoin> Deployment::withdraw(Wallet& wallet, Cents denomination,
                                     broker_.current_table());
 }
 
+Outcome<std::vector<WitnessCommitment>> Deployment::gather_commitments(
+    const WalletCoin& coin, const Wallet::PaymentIntent& intent,
+    Timestamp now) {
+  std::vector<WitnessCommitment> commitments;
+  for (const auto& entry : coin.coin.witnesses) {
+    if (commitments.size() >= coin.coin.bare.info.witness_k) break;
+    if (offline_.contains(entry.merchant)) continue;
+    bool already = false;
+    for (const auto& c : commitments)
+      if (c.witness == entry.merchant) already = true;
+    if (already) continue;
+    auto outcome = node(entry.merchant)
+                       .witness->request_commitment(intent.coin_hash,
+                                                    intent.nonce, now);
+    if (outcome) commitments.push_back(std::move(outcome).value());
+  }
+  if (commitments.size() < coin.coin.bare.info.witness_k)
+    return Refusal{RefusalReason::kInternal, "not enough reachable witnesses"};
+  return commitments;
+}
+
 Deployment::PaymentResult Deployment::pay(Wallet& wallet,
                                           const WalletCoin& coin,
                                           const MerchantId& merchant_id,
@@ -112,24 +124,12 @@ Deployment::PaymentResult Deployment::pay(Wallet& wallet,
   // Step 1-2: collect witness commitments (need witness_k of witness_n,
   // from distinct merchants — witness slots may collide on one merchant).
   auto intent = wallet.prepare_payment(coin, merchant_id);
-  std::vector<WitnessCommitment> commitments;
-  for (const auto& entry : coin.coin.witnesses) {
-    if (commitments.size() >= coin.coin.bare.info.witness_k) break;
-    if (offline_.contains(entry.merchant)) continue;
-    bool already = false;
-    for (const auto& c : commitments)
-      if (c.witness == entry.merchant) already = true;
-    if (already) continue;
-    auto outcome = node(entry.merchant)
-                       .witness->request_commitment(intent.coin_hash,
-                                                    intent.nonce, now);
-    if (outcome) commitments.push_back(std::move(outcome).value());
-  }
-  if (commitments.size() < coin.coin.bare.info.witness_k) {
-    result.refusal = Refusal{RefusalReason::kInternal,
-                             "not enough reachable witnesses"};
+  auto gathered = gather_commitments(coin, intent, now);
+  if (!gathered) {
+    result.refusal = gathered.refusal();
     return result;
   }
+  const auto& commitments = gathered.value();
 
   // Step 3: transcript to the merchant.
   auto transcript = wallet.build_transcript(coin, intent, commitments, now);
@@ -216,21 +216,9 @@ Outcome<std::vector<WalletCoin>> Deployment::exchange(
   // Pay the coin to the broker: regular step 1-5 flow with the broker as
   // the (hidden-until-step-3) counterparty.
   auto intent = wallet.prepare_payment(coin, kBrokerCounterparty);
-  std::vector<WitnessCommitment> commitments;
-  for (const auto& entry : coin.coin.witnesses) {
-    if (commitments.size() >= coin.coin.bare.info.witness_k) break;
-    if (offline_.contains(entry.merchant)) continue;
-    bool already = false;
-    for (const auto& c : commitments)
-      if (c.witness == entry.merchant) already = true;
-    if (already) continue;
-    auto outcome = node(entry.merchant)
-                       .witness->request_commitment(intent.coin_hash,
-                                                    intent.nonce, now);
-    if (outcome) commitments.push_back(std::move(outcome).value());
-  }
-  if (commitments.size() < coin.coin.bare.info.witness_k)
-    return Refusal{RefusalReason::kInternal, "not enough reachable witnesses"};
+  auto gathered = gather_commitments(coin, intent, now);
+  if (!gathered) return gathered.refusal();
+  const auto& commitments = gathered.value();
   auto transcript = wallet.build_transcript(coin, intent, commitments, now);
   if (!transcript) return transcript.refusal();
   SignedTranscript st;

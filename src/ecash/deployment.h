@@ -107,6 +107,12 @@ class Deployment {
                           Wallet& recipient, Timestamp now);
 
  private:
+  /// Payment steps 1-2: commitments from witness_k distinct online
+  /// witnesses of `coin`, tried in the coin's entry order.
+  Outcome<std::vector<WitnessCommitment>> gather_commitments(
+      const WalletCoin& coin, const Wallet::PaymentIntent& intent,
+      Timestamp now);
+
   group::SchnorrGroup grp_;
   crypto::ChaChaRng rng_;
   Broker broker_;

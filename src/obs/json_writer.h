@@ -1,13 +1,14 @@
 // json_writer.h — minimal ordered-key JSON emitter.
 //
-// Shared by the bench baselines (BENCH_*.json) and the observability
-// exports (METRICS_*.json): one serializer so every machine-readable
-// artifact this repo writes has the same shape and escaping rules.  Keys
-// are emitted in insertion order so diffs between runs stay readable, and
-// doubles are formatted with a fixed "%.6g" (non-finite values as null —
-// bare inf/nan tokens are not JSON) so the same run always produces
-// byte-identical output (a property the trace layer's replay-determinism
-// check relies on).
+// Shared by the bench baselines (BENCH_*.json), the observability exports
+// (METRICS_*.json) and, through its two free functions, the trace JSONL
+// lines: one serializer so every machine-readable artifact this repo
+// writes has the same number and escaping rules.  Keys are emitted in
+// insertion order so diffs between runs stay readable, and doubles are
+// formatted with a fixed "%.6g" (non-finite values as null — bare inf/nan
+// tokens are not JSON) so the same run always produces byte-identical
+// output (a property the trace layer's replay-determinism check relies
+// on).
 
 #pragma once
 
@@ -15,9 +16,40 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace p2pcash::obs {
+
+/// Appends `value` as a JSON number in the fixed "%.6g" format.  "%.6g"
+/// renders non-finite doubles as bare `inf` / `nan` tokens, which is not
+/// JSON (an empty histogram's min is +inf, a 0/0 rate is NaN), so those
+/// become `null` and every artifact stays machine-parseable.
+inline void append_json_number(std::string& out, double value) {
+  if (!std::isfinite(value)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.6g", value);
+  out += buf;
+}
+
+/// Appends `s` with JSON string escaping (no surrounding quotes).
+inline void append_json_escaped(std::string& out, std::string_view s) {
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\u%04x", c);
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+}
 
 /// Ordered-key JSON emitter.  Supports exactly what the bench baselines
 /// and metrics exports need: nested objects, flat arrays, string/number
@@ -34,7 +66,7 @@ class JsonWriter {
 
   JsonWriter& field(const std::string& key, double value) {
     emit_key(key);
-    emit_double(value);
+    append_json_number(out_, value);
     return *this;
   }
 
@@ -85,7 +117,7 @@ class JsonWriter {
     out_ += '[';
     for (std::size_t i = 0; i < values.size(); ++i) {
       if (i > 0) out_ += ", ";
-      emit_double(values[i]);
+      append_json_number(out_, values[i]);
     }
     out_ += ']';
     return *this;
@@ -126,42 +158,14 @@ class JsonWriter {
     out_ += '\n';
     out_ += indent_;
     out_ += '"';
-    escape_into(key);
+    append_json_escaped(out_, key);
     out_ += "\": ";
   }
 
   void emit_string(const std::string& value) {
     out_ += '"';
-    escape_into(value);
+    append_json_escaped(out_, value);
     out_ += '"';
-  }
-
-  void emit_double(double value) {
-    // "%.6g" renders non-finite doubles as bare `inf` / `nan` tokens,
-    // which is not JSON (an empty histogram's min is +inf, a 0/0 rate is
-    // NaN) — emit `null` so every artifact stays machine-parseable.
-    if (!std::isfinite(value)) {
-      out_ += "null";
-      return;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    out_ += buf;
-  }
-
-  void escape_into(const std::string& s) {
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out_ += '\\';
-        out_ += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof buf, "\\u%04x", c);
-        out_ += buf;
-      } else {
-        out_ += c;
-      }
-    }
   }
 
   std::string out_;

@@ -3,34 +3,12 @@
 #include <cstdio>
 
 #include "obs/clock.h"
+#include "obs/json_writer.h"
 #include "obs/metrics_registry.h"
 
 namespace p2pcash::obs {
 
 namespace {
-
-/// Fixed double format shared with the registry dumps: sim times replay
-/// exactly, so the same seed serializes to the same bytes.
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  out += buf;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
 
 void append_span_line(std::string& out, const SpanRecord& s) {
   out += "{\"kind\":\"span\",\"trace\":";
@@ -40,15 +18,15 @@ void append_span_line(std::string& out, const SpanRecord& s) {
   out += ",\"parent\":";
   out += std::to_string(s.parent);
   out += ",\"name\":\"";
-  append_escaped(out, s.name);
+  append_json_escaped(out, s.name);
   out += "\",\"node\":";
   out += std::to_string(s.node);
   out += ",\"start_ms\":";
-  append_number(out, s.start_ms);
+  append_json_number(out, s.start_ms);
   out += ",\"end_ms\":";
-  append_number(out, s.end_ms);
+  append_json_number(out, s.end_ms);
   out += ",\"status\":\"";
-  append_escaped(out, s.status);
+  append_json_escaped(out, s.status);
   out += "\"}\n";
 }
 
@@ -58,17 +36,17 @@ void append_event_line(std::string& out, const EventRecord& e) {
   out += ",\"span\":";
   out += std::to_string(e.span);
   out += ",\"t_ms\":";
-  append_number(out, e.at_ms);
+  append_json_number(out, e.at_ms);
   out += ",\"name\":\"";
-  append_escaped(out, e.name);
+  append_json_escaped(out, e.name);
   out += "\",\"detail\":\"";
-  append_escaped(out, e.detail);
+  append_json_escaped(out, e.detail);
   out += "\"}\n";
 }
 
 void append_meta_line(std::string& out, const TraceSink::Meta& m) {
   out += "{\"kind\":\"meta\",\"transport\":\"";
-  append_escaped(out, m.transport);
+  append_json_escaped(out, m.transport);
   out += "\",\"hardware_threads\":";
   out += std::to_string(m.hardware_threads);
   out += "}\n";

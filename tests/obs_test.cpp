@@ -355,6 +355,23 @@ TEST(TraceSink, JsonlGolden) {
             "\"status\":\"ok\"}\n");
 }
 
+TEST(TraceSink, NonFiniteTimesEmitNull) {
+  // Trace lines follow the JsonWriter number rule: a NaN clock reading
+  // must not leak a bare `nan` token into the JSONL.
+  TraceSink sink;
+  Tracer tracer([] { return std::numeric_limits<double>::quiet_NaN(); },
+                &sink);
+  const auto root = tracer.start_root("withdraw", 1);
+  tracer.event(root, "rpc.retry");
+  tracer.end_span(root, "ok");
+  const std::string jsonl = sink.to_jsonl();
+  EXPECT_EQ(jsonl.find("nan"), std::string::npos) << jsonl;
+  EXPECT_NE(jsonl.find("\"t_ms\":null,"), std::string::npos) << jsonl;
+  EXPECT_NE(jsonl.find("\"start_ms\":null,\"end_ms\":null,"),
+            std::string::npos)
+      << jsonl;
+}
+
 // ---------------------------------------------------------------------------
 // Clock seam: the same Tracer runs on sim-time (SimWorld) or wall-clock
 // (NodeRuntime) through obs::Clock.
