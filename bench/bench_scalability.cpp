@@ -352,8 +352,11 @@ int main(int argc, char** argv) {
       const double speedup = r.payments_per_sec / baseline;
       std::printf("  %7zu  | %9zu  | %8.3f  | %11.1f  | %5.2fx\n", c.threads,
                   c.batch, r.seconds, r.payments_per_sec, speedup);
-      json.begin_object("t" + std::to_string(c.threads) + "_b" +
-                        std::to_string(c.batch));
+      std::string key = "t";
+      key += std::to_string(c.threads);
+      key += "_b";
+      key += std::to_string(c.batch);
+      json.begin_object(key);
       json.field("threads", static_cast<std::uint64_t>(c.threads));
       json.field("batch_size", static_cast<std::uint64_t>(c.batch));
       json.field("seconds", r.seconds);
@@ -399,8 +402,11 @@ int main(int argc, char** argv) {
       const double speedup = r.payments_per_sec / baseline;
       std::printf("  %7zu  | %5zu  | %8.3f  | %11.1f  | %5.2fx\n", c.threads,
                   c.lanes, r.seconds, r.payments_per_sec, speedup);
-      json.begin_object("t" + std::to_string(c.threads) + "_l" +
-                        std::to_string(c.lanes));
+      std::string key = "t";
+      key += std::to_string(c.threads);
+      key += "_l";
+      key += std::to_string(c.lanes);
+      json.begin_object(key);
       json.field("threads", static_cast<std::uint64_t>(c.threads));
       json.field("lanes", static_cast<std::uint64_t>(c.lanes));
       json.field("seconds", r.seconds);

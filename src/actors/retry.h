@@ -15,8 +15,10 @@
 // src/obs/trace.h), so a trace shows exactly which machinery fired and
 // when.
 //
-// RetryPolicy and PeerHealth are also the transport's reconnect pacing;
-// Rpc needs only the Transport interface, not a concrete transport.
+// This is the only retry layer: the transport drops frames on a failed
+// connection and redials on the next send, so resends, backoff and
+// breaking all happen here.  Rpc needs only the Transport interface, not
+// a concrete transport.
 
 #pragma once
 

@@ -15,7 +15,8 @@
 //     real time, and the simulated-cost model would just add sleeps.
 //   * The obs stack: wall-clock tracer, flight recorder, scrape server.
 //   * No FaultPlan; crash/restart is modeled at the transport
-//     (TcpNet::set_down) — reconnection is the thing under test.
+//     (TcpNet::set_down) — the actors' retry over a redialing
+//     transport is the thing under test.
 //
 // This header is det_lint-scoped (src/actors): it reads no clock and no
 // entropy of its own; all time flows through the Transport.
@@ -44,7 +45,7 @@ class NodeRuntime : public Cluster {
     }
     /// Strand-executor threads in the transport's worker pool.
     std::size_t worker_threads = 2;
-    /// Transport knobs (queue caps, reconnect pacing, frame limit).
+    /// Transport knobs (queue caps, inbound watermarks, frame limit).
     /// worker_threads and seed override the ones in here, and the
     /// runtime's own registry/tracer/flight-recorder are always wired in.
     /// Actor-level retry timers (Options::retry) run on the wall clock.

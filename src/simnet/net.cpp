@@ -27,7 +27,10 @@ void Network::trace_event(const Message& msg, std::string_view name,
   std::string text(detail);
   text += " type=";
   text += msg.type;
-  text += " " + std::to_string(msg.from) + "->" + std::to_string(msg.to);
+  text += ' ';
+  text += std::to_string(msg.from);
+  text += "->";
+  text += std::to_string(msg.to);
   tracer_->event(msg.trace, name, text);
 }
 

@@ -12,12 +12,12 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "crypto/chacha.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "wire/codec.h"
@@ -105,14 +105,12 @@ struct TcpNet::OutConn {
   obs::Gauge* queue_gauge = nullptr;
 
   // io-thread-only.
-  enum class State { kIdle, kConnecting, kEstablished, kBackoff };
+  enum class State { kIdle, kConnecting, kEstablished };
   State state = State::kIdle;
   int fd = -1;
   bool want_write = false;
   std::vector<std::uint8_t> io_buf;  ///< staged bytes being written
   std::size_t io_off = 0;
-  simnet::SimTime prev_backoff = 0;
-  std::size_t attempts = 0;
 };
 
 struct TcpNet::InConn {
@@ -130,7 +128,6 @@ struct TcpNet::Timer {
   double due_ms = 0;
   std::uint64_t seq = 0;
   NodeId node = 0;
-  bool io_internal = false;  ///< run on the io thread (reconnect pacing)
   std::function<void()> fn;
 };
 
@@ -150,7 +147,6 @@ struct TcpNet::AtomicStats {
   std::atomic<std::uint64_t> connects{0};
   std::atomic<std::uint64_t> connect_failures{0};
   std::atomic<std::uint64_t> disconnects{0};
-  std::atomic<std::uint64_t> breaker_deferrals{0};
   std::atomic<std::uint64_t> decode_errors{0};
   std::atomic<std::uint64_t> reads_paused{0};
   std::atomic<std::uint64_t> timers_fired{0};
@@ -168,17 +164,12 @@ struct TcpNet::AtomicStats {
 TcpNet::TcpNet(Options options)
     : options_(options),
       epoch_(std::chrono::steady_clock::now()),
-      health_(options.breaker),
-      io_rng_(options.seed ^ 0x74637069'6f726e67ULL),  // "tcpiorng"
       stats_(std::make_unique<AtomicStats>()) {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
   if (epoll_fd_ < 0) throw_errno("epoll_create1");
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wake_fd_ < 0) throw_errno("eventfd");
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = wake_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) < 0)
+  if (epoll_set(EPOLL_CTL_ADD, wake_fd_, EPOLLIN) < 0)
     throw_errno("epoll_ctl(wake)");
   setup_observability();
 }
@@ -202,7 +193,6 @@ void TcpNet::setup_observability() {
   io_busy_ms_ = &reg.histogram("transport_io_loop_busy_ms");
   timer_delay_ms_ = &reg.histogram("transport_timer_delay_ms");
   strand_batch_ = &reg.histogram("transport_strand_batch");
-  queued_bytes_gauge_ = &reg.gauge("transport_outbound_queued_bytes");
   // Counters are mirrored from the lock-free AtomicStats: the collector
   // runs with the registry lock held and may not take mu_ (kTransport
   // ranks far above kRegistry), so everything it reads is an atomic.
@@ -225,10 +215,13 @@ void TcpNet::setup_observability() {
         counter("transport_connects_total", a.connects),
         counter("transport_connect_failures_total", a.connect_failures),
         counter("transport_disconnects_total", a.disconnects),
-        counter("transport_breaker_deferrals_total", a.breaker_deferrals),
         counter("transport_decode_errors_total", a.decode_errors),
         counter("transport_reads_paused_total", a.reads_paused),
         counter("transport_timers_fired_total", a.timers_fired),
+        Sample{"transport_outbound_queued_bytes",
+               static_cast<double>(
+                   a.queued_bytes_now.load(std::memory_order_relaxed)),
+               Sample::Type::kGauge},
     };
     for (const auto& ep : endpoints_) {
       out.push_back(Sample{
@@ -290,15 +283,19 @@ void TcpNet::open_listener(Endpoint& ep) {
     }
     ep.port = ntohs(bound.sin_port);
   }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = fd;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+  if (epoll_set(EPOLL_CTL_ADD, fd, EPOLLIN) < 0) {
     ::close(fd);
     throw_errno("epoll_ctl(listen)");
   }
   ep.listen_fd = fd;
   listen_fds_[fd] = &ep;
+}
+
+int TcpNet::epoll_set(int op, int fd, std::uint32_t events) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.fd = fd;
+  return ::epoll_ctl(epoll_fd_, op, fd, &ev);
 }
 
 void TcpNet::start() {
@@ -372,7 +369,6 @@ void TcpNet::send(Message msg) {
     return;
   }
   bool wake = false;
-  const std::size_t frame_bytes = frame.size();
   bool dropped = false;
   {
     sync::MutexLock lock(mu_);
@@ -392,6 +388,10 @@ void TcpNet::send(Message msg) {
       dropped = true;
     } else {
       conn.queued_bytes += frame.size();
+      // Counted under mu_, so no flush or drop of this frame can subtract
+      // it first.
+      stats_->queued_bytes_now.fetch_add(frame.size(),
+                                         std::memory_order_relaxed);
       conn.queue.push_back(std::move(frame));
       if (conn.queue_gauge)
         conn.queue_gauge->set(static_cast<double>(conn.queued_bytes));
@@ -411,10 +411,6 @@ void TcpNet::send(Message msg) {
                     " " + msg.type);
     return;
   }
-  stats_->queued_bytes_now.fetch_add(frame_bytes, std::memory_order_relaxed);
-  if (queued_bytes_gauge_)
-    queued_bytes_gauge_->set(static_cast<double>(
-        stats_->queued_bytes_now.load(std::memory_order_relaxed)));
   if (wake) io_wake();
 }
 
@@ -425,7 +421,7 @@ void TcpNet::schedule_on(NodeId node, SimTime delay_ms,
   {
     sync::MutexLock lock(timer_mu_);
     timers_.push_back(Timer{now() + std::max<SimTime>(0, delay_ms),
-                            timer_seq_++, node, false, std::move(fn)});
+                            timer_seq_++, node, std::move(fn)});
     std::push_heap(timers_.begin(), timers_.end(), timer_later);
   }
   io_wake();
@@ -464,7 +460,6 @@ TcpNet::Stats TcpNet::stats() const {
   s.connects = a.connects.load(std::memory_order_relaxed);
   s.connect_failures = a.connect_failures.load(std::memory_order_relaxed);
   s.disconnects = a.disconnects.load(std::memory_order_relaxed);
-  s.breaker_deferrals = a.breaker_deferrals.load(std::memory_order_relaxed);
   s.decode_errors = a.decode_errors.load(std::memory_order_relaxed);
   s.reads_paused = a.reads_paused.load(std::memory_order_relaxed);
   s.timers_fired = a.timers_fired.load(std::memory_order_relaxed);
@@ -562,11 +557,7 @@ void TcpNet::fire_due_timers() {
     // How late the heap ran this timer: epoll wakeup slop + io-loop load.
     if (timer_delay_ms_)
       timer_delay_ms_->record(std::max(0.0, fired_at - t.due_ms));
-    if (t.io_internal) {
-      t.fn();  // reconnect pacing: runs right here on the io thread
-    } else {
-      dispatch(t.node, std::move(t.fn));
-    }
+    dispatch(t.node, std::move(t.fn));
   }
 }
 
@@ -667,8 +658,7 @@ void TcpNet::service_dirty_conns() {
         flush_writes(*c);
         break;
       case OutConn::State::kConnecting:
-      case OutConn::State::kBackoff:
-        break;  // in-flight machinery will pick the queue up
+        break;  // conn_established will flush the queue
     }
   }
 }
@@ -676,23 +666,7 @@ void TcpNet::service_dirty_conns() {
 void TcpNet::try_dial(OutConn& conn) {
   {
     sync::MutexLock lock(mu_);
-    if (conn.queue.empty() && conn.io_buf.empty()) return;
-  }
-  if (!health_.allow(conn.to, now())) {
-    // Breaker open: check back when it may admit a half-open probe.
-    stats_->breaker_deferrals.fetch_add(1, std::memory_order_relaxed);
-    conn.state = OutConn::State::kBackoff;
-    const SimTime delay =
-        options_.reconnect.next_backoff(conn.prev_backoff, io_rng_);
-    conn.prev_backoff = delay;
-    sync::MutexLock lock(timer_mu_);
-    timers_.push_back(Timer{now() + delay, timer_seq_++, conn.to, true,
-                            [this, &conn] {
-                              conn.state = OutConn::State::kIdle;
-                              try_dial(conn);
-                            }});
-    std::push_heap(timers_.begin(), timers_.end(), timer_later);
-    return;
+    if (conn.queue.empty()) return;
   }
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
@@ -711,10 +685,7 @@ void TcpNet::try_dial(OutConn& conn) {
     conn.fd = fd;
     conn.state = OutConn::State::kConnecting;
     out_fds_[fd] = &conn;
-    epoll_event ev{};
-    ev.events = EPOLLOUT;
-    ev.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+    epoll_set(EPOLL_CTL_ADD, fd, EPOLLOUT);
     if (rc == 0) conn_established(conn);
     return;
   }
@@ -735,20 +706,31 @@ void TcpNet::on_connect_writable(OutConn& conn) {
 void TcpNet::conn_established(OutConn& conn) {
   conn.state = OutConn::State::kEstablished;
   conn.want_write = false;
-  conn.prev_backoff = 0;
-  conn.attempts = 0;
   stats_->connects.fetch_add(1, std::memory_order_relaxed);
   flight_note("net.connect",
               std::to_string(conn.from) + "->" + std::to_string(conn.to));
-  health_.record_success(conn.to);
-  epoll_event ev{};
-  ev.events = EPOLLIN;  // EOF watch; flush_writes arms EPOLLOUT as needed
-  ev.data.fd = conn.fd;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
+  // EOF watch; flush_writes arms EPOLLOUT as needed.
+  epoll_set(EPOLL_CTL_MOD, conn.fd, EPOLLIN);
   flush_writes(conn);
 }
 
 void TcpNet::conn_failed(OutConn& conn, bool was_established) {
+  if (was_established) {
+    stats_->disconnects.fetch_add(1, std::memory_order_relaxed);
+    flight_note("net.disconnect",
+                std::to_string(conn.from) + "->" + std::to_string(conn.to));
+  } else {
+    stats_->connect_failures.fetch_add(1, std::memory_order_relaxed);
+  }
+  // No redial here: the actors' Rpc owns retry and backoff end to end, and
+  // the next send() to this peer dials afresh.
+  if (const std::size_t dropped = reset_conn(conn); dropped > 0)
+    flight_note("net.queue_shed", std::to_string(conn.from) + "->" +
+                                      std::to_string(conn.to) +
+                                      " frames=" + std::to_string(dropped));
+}
+
+std::size_t TcpNet::reset_conn(OutConn& conn) {
   if (conn.fd >= 0) {
     out_fds_.erase(conn.fd);
     ::close(conn.fd);
@@ -759,51 +741,20 @@ void TcpNet::conn_failed(OutConn& conn, bool was_established) {
   conn.io_buf.clear();
   conn.io_off = 0;
   conn.want_write = false;
-  if (was_established) {
-    stats_->disconnects.fetch_add(1, std::memory_order_relaxed);
-    flight_note("net.disconnect",
-                std::to_string(conn.from) + "->" + std::to_string(conn.to));
-  } else {
-    stats_->connect_failures.fetch_add(1, std::memory_order_relaxed);
+  conn.state = OutConn::State::kIdle;
+  std::size_t dropped = 0;
+  std::size_t dropped_bytes = 0;
+  {
+    sync::MutexLock lock(mu_);
+    dropped = conn.queue.size();
+    dropped_bytes = conn.queued_bytes;
+    conn.queue.clear();
+    conn.queued_bytes = 0;
+    if (conn.queue_gauge) conn.queue_gauge->set(0);
   }
-  health_.record_failure(conn.to, now());
-  conn.attempts += 1;
-  if (conn.attempts >= options_.reconnect.max_attempts) {
-    // Attempt budget exhausted for this outage: shed the queue (the actors'
-    // retry layer owns end-to-end delivery) and go quiet until a new send.
-    std::size_t flushed = 0;
-    std::size_t flushed_bytes = 0;
-    {
-      sync::MutexLock lock(mu_);
-      flushed = conn.queue.size();
-      flushed_bytes = conn.queued_bytes;
-      conn.queue.clear();
-      conn.queued_bytes = 0;
-      if (conn.queue_gauge) conn.queue_gauge->set(0);
-    }
-    stats_->queued_bytes_now.fetch_sub(flushed_bytes,
-                                       std::memory_order_relaxed);
-    stats_->dropped_on_disconnect.fetch_add(flushed,
-                                            std::memory_order_relaxed);
-    flight_note("net.queue_shed",
-                std::to_string(conn.from) + "->" + std::to_string(conn.to) +
-                    " frames=" + std::to_string(flushed));
-    conn.state = OutConn::State::kIdle;
-    conn.attempts = 0;
-    conn.prev_backoff = 0;
-    return;
-  }
-  conn.state = OutConn::State::kBackoff;
-  const SimTime delay =
-      options_.reconnect.next_backoff(conn.prev_backoff, io_rng_);
-  conn.prev_backoff = delay;
-  sync::MutexLock lock(timer_mu_);
-  timers_.push_back(Timer{now() + delay, timer_seq_++, conn.to, true,
-                          [this, &conn] {
-                            conn.state = OutConn::State::kIdle;
-                            try_dial(conn);
-                          }});
-  std::push_heap(timers_.begin(), timers_.end(), timer_later);
+  stats_->queued_bytes_now.fetch_sub(dropped_bytes, std::memory_order_relaxed);
+  stats_->dropped_on_disconnect.fetch_add(dropped, std::memory_order_relaxed);
+  return dropped;
 }
 
 void TcpNet::flush_writes(OutConn& conn) {
@@ -824,20 +775,13 @@ void TcpNet::flush_writes(OutConn& conn) {
         if (moved > 0 && conn.queue_gauge)
           conn.queue_gauge->set(static_cast<double>(conn.queued_bytes));
       }
-      if (moved > 0) {
+      if (moved > 0)
         stats_->queued_bytes_now.fetch_sub(moved, std::memory_order_relaxed);
-        if (queued_bytes_gauge_)
-          queued_bytes_gauge_->set(static_cast<double>(
-              stats_->queued_bytes_now.load(std::memory_order_relaxed)));
-      }
     }
     if (conn.io_buf.empty()) {
       if (conn.want_write) {
         conn.want_write = false;
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.fd = conn.fd;
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
+        epoll_set(EPOLL_CTL_MOD, conn.fd, EPOLLIN);
       }
       return;
     }
@@ -853,10 +797,7 @@ void TcpNet::flush_writes(OutConn& conn) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       if (!conn.want_write) {
         conn.want_write = true;
-        epoll_event ev{};
-        ev.events = EPOLLIN | EPOLLOUT;
-        ev.data.fd = conn.fd;
-        ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
+        epoll_set(EPOLL_CTL_MOD, conn.fd, EPOLLIN | EPOLLOUT);
       }
       return;
     }
@@ -876,15 +817,10 @@ void TcpNet::on_accept(Endpoint& ep) {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn =
         std::make_unique<InConn>(fd, ep.id, options_.max_frame_bytes);
-    epoll_event ev{};
-    ev.data.fd = fd;
-    if (ep.paused.load(std::memory_order_acquire)) {
-      conn->paused = true;
-      ev.events = 0;  // registered but muted until the strand drains
-    } else {
-      ev.events = EPOLLIN;
-    }
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+    // A paused endpoint's new conn is registered but muted until the
+    // strand drains.
+    conn->paused = ep.paused.load(std::memory_order_acquire);
+    epoll_set(EPOLL_CTL_ADD, fd, conn->paused ? 0u : std::uint32_t{EPOLLIN});
     in_fds_[fd] = std::move(conn);
   }
 }
@@ -968,10 +904,7 @@ void TcpNet::pause_reads(Endpoint& ep) {
   for (auto& [fd, conn] : in_fds_) {
     if (conn->dst != ep.id || conn->paused) continue;
     conn->paused = true;
-    epoll_event ev{};
-    ev.events = 0;
-    ev.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
+    epoll_set(EPOLL_CTL_MOD, fd, 0);
   }
   // The strand may have drained between our depth check and the pause
   // flag becoming visible; re-check so the resume request cannot be lost.
@@ -985,10 +918,7 @@ void TcpNet::resume_reads(Endpoint& ep) {
   for (auto& [fd, conn] : in_fds_) {
     if (conn->dst != ep.id || !conn->paused) continue;
     conn->paused = false;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
+    epoll_set(EPOLL_CTL_MOD, fd, EPOLLIN);
   }
 }
 
@@ -1025,35 +955,10 @@ void TcpNet::apply_down(NodeId node, bool down) {
     for (OutConn* conn : touching) {
       if (conn->from == node) {
         // The "crashed" endpoint: silently lose its socket and queue.
-        if (conn->fd >= 0) {
-          out_fds_.erase(conn->fd);
-          ::close(conn->fd);
-          conn->fd = -1;
-        }
-        conn->io_buf.clear();
-        conn->io_off = 0;
-        conn->want_write = false;
-        conn->state = OutConn::State::kIdle;
-        conn->attempts = 0;
-        conn->prev_backoff = 0;
-        std::size_t flushed = 0;
-        std::size_t flushed_bytes = 0;
-        {
-          sync::MutexLock lock(mu_);
-          flushed = conn->queue.size();
-          flushed_bytes = conn->queued_bytes;
-          conn->queue.clear();
-          conn->queued_bytes = 0;
-          if (conn->queue_gauge) conn->queue_gauge->set(0);
-        }
-        stats_->queued_bytes_now.fetch_sub(flushed_bytes,
-                                           std::memory_order_relaxed);
-        stats_->dropped_on_disconnect.fetch_add(flushed,
-                                                std::memory_order_relaxed);
-      } else if (conn->state == OutConn::State::kConnecting ||
-                 conn->state == OutConn::State::kEstablished) {
-        // Peers talking to the crashed node: sever now so they enter the
-        // reconnect path instead of waiting for a kernel timeout.
+        reset_conn(*conn);
+      } else if (conn->state != OutConn::State::kIdle) {
+        // Peers talking to the crashed node: sever now instead of waiting
+        // for a kernel timeout; their next send dials again.
         conn_failed(*conn, conn->state == OutConn::State::kEstablished);
       }
     }

@@ -22,9 +22,12 @@
 // Reliability model is deliberately UDP-like, matching what the actors'
 // retry/failover discipline was built for: a send may be silently lost
 // when the peer is down, the queue cap is hit, or a connection dies with
-// bytes in flight.  The transport's job is to *reconnect* (paced by the
-// same RetryPolicy backoff the actors use, gated by a per-peer PeerHealth
-// breaker) and to keep memory bounded, not to guarantee delivery.
+// bytes in flight.  A connection that fails to connect or breaks closes
+// its socket, drops its staged bytes and queued frames (counted in
+// dropped_on_disconnect) and goes idle; the next send() dials again.
+// Retry, backoff and circuit breaking live in one place, the actors' Rpc,
+// which sees end to end what the transport cannot.  The transport's job
+// is to keep memory bounded, not to guarantee delivery.
 //
 // Backpressure, both directions:
 //   * outbound: each directed connection carries at most
@@ -49,8 +52,6 @@
 #include <thread>
 #include <vector>
 
-#include "actors/retry.h"
-#include "crypto/chacha.h"
 #include "sync/annotated.h"
 #include "transport/transport.h"
 #include "verify/worker_pool.h"
@@ -58,7 +59,6 @@
 
 namespace p2pcash::obs {
 class FlightRecorder;
-class Gauge;
 class Histogram;
 class MetricsRegistry;
 }  // namespace p2pcash::obs
@@ -84,10 +84,6 @@ class TcpNet final : public Transport {
     /// Inbound flow control thresholds (strand mailbox depth, in tasks).
     std::size_t mailbox_high_watermark = 1024;
     std::size_t mailbox_low_watermark = 256;
-    /// Reconnect pacing (decorrelated-jitter backoff, attempt budget per
-    /// outage) and the per-peer connect breaker.
-    actors::RetryPolicy reconnect;
-    actors::PeerHealth::Config breaker;
 
     /// Observability seams (all optional, all borrowed — each must
     /// outlive the TcpNet; the registry additionally must not be scraped
@@ -112,7 +108,6 @@ class TcpNet final : public Transport {
     std::uint64_t connects = 0;           ///< connections established
     std::uint64_t connect_failures = 0;
     std::uint64_t disconnects = 0;        ///< established connections lost
-    std::uint64_t breaker_deferrals = 0;  ///< dials deferred by an open breaker
     std::uint64_t decode_errors = 0;      ///< framing/envelope violations
     std::uint64_t reads_paused = 0;       ///< inbound flow-control pauses
     std::uint64_t timers_fired = 0;
@@ -156,8 +151,8 @@ class TcpNet final : public Transport {
   std::size_t worker_threads() const { return options_.worker_threads; }
 
   /// Crash-models a peer: down closes its listen socket and severs every
-  /// connection touching it (senders see resets and enter the reconnect
-  /// path); up re-binds the same port.  Safe to call while running.
+  /// connection touching it (their queued frames are dropped; a later send
+  /// dials again); up re-binds the same port.  Safe to call while running.
   void set_down(NodeId node, bool down) override;
 
   Stats stats() const;
@@ -188,6 +183,7 @@ class TcpNet final : public Transport {
   void on_connect_writable(OutConn& conn);
   void conn_established(OutConn& conn);
   void conn_failed(OutConn& conn, bool was_established);
+  std::size_t reset_conn(OutConn& conn);  // returns frames dropped
   void flush_writes(OutConn& conn);
   void on_accept(Endpoint& ep);
   void on_readable(InConn& conn);
@@ -196,6 +192,7 @@ class TcpNet final : public Transport {
   void pause_reads(Endpoint& ep);
   void resume_reads(Endpoint& ep);
   void open_listener(Endpoint& ep);  // binds (re-binds) ep.port
+  int epoll_set(int op, int fd, std::uint32_t events);  // epoll_ctl(op, fd)
   void close_all_io();
 
   Options options_;
@@ -223,9 +220,6 @@ class TcpNet final : public Transport {
   std::vector<Timer> timers_ P2P_GUARDED_BY(timer_mu_);  // min-heap
   std::uint64_t timer_seq_ P2P_GUARDED_BY(timer_mu_) = 0;
 
-  actors::PeerHealth health_;          ///< connect breaker, keyed by dest
-  crypto::ChaChaRng io_rng_;           ///< io-thread-only: backoff jitter
-
   // io-thread-only fd bookkeeping (attach() touches it too, but strictly
   // before the io thread exists).
   std::map<int, Endpoint*> listen_fds_;
@@ -246,7 +240,6 @@ class TcpNet final : public Transport {
   obs::Histogram* io_busy_ms_ = nullptr;     ///< epoll loop busy time
   obs::Histogram* timer_delay_ms_ = nullptr; ///< timer-heap firing lag
   obs::Histogram* strand_batch_ = nullptr;   ///< tasks per strand drain
-  obs::Gauge* queued_bytes_gauge_ = nullptr; ///< total outbound backlog
 };
 
 }  // namespace p2pcash::transport

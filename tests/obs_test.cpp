@@ -305,7 +305,9 @@ TEST(TraceSink, RingBufferDropsOldestAndCounts) {
   TraceSink sink(/*capacity=*/2);
   Tracer tracer(clock.fn(), &sink);
   for (int i = 0; i < 3; ++i) {
-    const auto root = tracer.start_root("s" + std::to_string(i), 0);
+    std::string name = "s";
+    name += std::to_string(i);
+    const auto root = tracer.start_root(name, 0);
     tracer.end_span(root);
   }
   EXPECT_EQ(sink.size(), 2u);

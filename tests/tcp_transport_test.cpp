@@ -21,6 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics_registry.h"
+
 namespace p2pcash::transport {
 namespace {
 
@@ -95,15 +97,10 @@ class SlowReader : public simnet::Node {
   std::atomic<std::size_t> count_{0};
 };
 
-/// Reconnect pacing tightened so outage tests converge in milliseconds.
+/// Default options on two strand workers.
 TcpNet::Options fast_options() {
   TcpNet::Options options;
   options.worker_threads = 2;
-  options.reconnect.backoff_base_ms = 10;
-  options.reconnect.backoff_cap_ms = 50;
-  options.reconnect.max_attempts = 200;
-  options.breaker.failure_threshold = 3;
-  options.breaker.open_ms = 100;
   return options;
 }
 
@@ -256,7 +253,10 @@ TEST(TcpTransport, ConcurrentSendersDeliverInPerSenderOrder) {
 }
 
 TEST(TcpTransport, ReconnectAfterPeerRestart) {
-  TcpNet net(fast_options());
+  obs::MetricsRegistry registry;
+  auto options = fast_options();
+  options.metrics = &registry;
+  TcpNet net(options);
   Echo echo;
   Recorder client;
   NodeId echo_id = net.attach(echo);
@@ -272,11 +272,16 @@ TEST(TcpTransport, ReconnectAfterPeerRestart) {
   const std::uint16_t port_before = net.port(echo_id);
 
   net.set_down(echo_id, true);
-  // Sends into the outage are absorbed (queued or dropped), never fatal.
+  // Sends into the outage are absorbed (dropped), never fatal.
   for (int i = 0; i < 20; ++i) {
     net.send(make_msg(client_id, echo_id, "ping", {2}));
     std::this_thread::sleep_for(5ms);
   }
+  // Dropped frames leave no phantom backlog in the exported gauge.
+  EXPECT_TRUE(wait_until([&] {
+    return registry.prometheus_text().find(
+               "\ntransport_outbound_queued_bytes 0\n") != std::string::npos;
+  }));
   const std::size_t before_restart = client.count();
 
   net.set_down(echo_id, false);
@@ -290,6 +295,49 @@ TEST(TcpTransport, ReconnectAfterPeerRestart) {
   auto stats = net.stats();
   EXPECT_GT(stats.disconnects, 0u);
   EXPECT_GE(stats.connects, 2u);  // original + at least one reconnect
+  net.stop();
+}
+
+// Regression: a peer outage long enough to have tripped a connect breaker
+// must not delay recovery, and frames sent into the outage are dropped
+// rather than held for a burst on reconnect.  The transport redials on
+// the next send; retry and backoff belong to the actors' Rpc.
+TEST(TcpTransport, RecoversPromptlyAfterPeerRestartWithDefaultOptions) {
+  TcpNet::Options options;
+  options.worker_threads = 2;
+  TcpNet net(options);
+  Echo echo;
+  Recorder client;
+  NodeId echo_id = net.attach(echo);
+  NodeId client_id = net.attach(client);
+  echo.bind(net);
+  net.start();
+
+  ASSERT_TRUE(wait_until([&] {
+    if (client.count() > 0) return true;
+    net.send(make_msg(client_id, echo_id, "ping", {1}));
+    return false;
+  }));
+
+  net.set_down(echo_id, true);
+  constexpr int kOutageSends = 40;  // one every 100 ms for 4 s
+  for (int i = 0; i < kOutageSends; ++i) {
+    net.send(make_msg(client_id, echo_id, "ping", {2}));
+    std::this_thread::sleep_for(100ms);
+  }
+  const std::size_t before_restart = client.count();
+
+  net.set_down(echo_id, false);
+  const auto restarted = std::chrono::steady_clock::now();
+  net.send(make_msg(client_id, echo_id, "ping", {3}));
+  ASSERT_TRUE(wait_until([&] { return client.count() > before_restart; },
+                         10'000ms))
+      << "no pong after peer restart";
+  const auto recovery = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - restarted);
+  EXPECT_LT(recovery, 1'000ms) << "pong took " << recovery.count() << " ms";
+  EXPECT_GE(net.stats().dropped_on_disconnect,
+            static_cast<std::uint64_t>(kOutageSends));
   net.stop();
 }
 
