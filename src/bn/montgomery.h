@@ -46,10 +46,7 @@ class MontgomeryCtx {
   BigInt exp_fixed(const FixedBaseTable& table, const BigInt& exponent) const;
 
   /// prod_i bases[i]^exponents[i]: Straus interleaving (one shared
-  /// squaring ladder for all bases instead of one ladder each) for small
-  /// batches, switching to Pippenger's bucket method at larger sizes,
-  /// where per-window bucket accumulation beats per-base digit tables.
-  /// Same result either way.
+  /// squaring ladder for all bases instead of one ladder each).
   /// Requires bases.size() == exponents.size(), all exponents >= 0.
   BigInt multi_exp(std::span<const BigInt> bases,
                    std::span<const BigInt> exponents) const;
@@ -61,10 +58,6 @@ class MontgomeryCtx {
   /// CIOS: returns a*b*R^{-1} mod n; inputs/outputs are n_limbs_ long.
   std::vector<Limb> mont_mul(const std::vector<Limb>& a,
                              const std::vector<Limb>& b) const;
-  /// Bucket-method multi-exp for large batches (multi_exp.cpp).
-  BigInt multi_exp_pippenger(std::span<const BigInt> bases,
-                             std::span<const BigInt> exponents,
-                             std::size_t max_bits) const;
 
   BigInt modulus_;
   std::vector<Limb> n_;     // modulus limbs, length n_limbs_

@@ -5,26 +5,6 @@
 
 namespace p2pcash::bn {
 
-namespace {
-
-// Straus vs Pippenger crossover.  Straus pays a 15-multiplication digit
-// table per base up front and ~n multiplications per 4-bit window;
-// Pippenger pays no per-base tables but (n + 2^(c+1)) multiplications per
-// c-bit window.  With 160-bit exponents the bucket method starts winning
-// around n ≈ 128 (c = 5) and widens its lead as c grows with n; below the
-// threshold the shared-ladder Straus path is strictly cheaper.
-constexpr std::size_t kPippengerMinBases = 128;
-
-// Bucket window width for a given batch size: wider windows amortize the
-// 2^(c+1) bucket-fold cost over more bases.
-std::size_t pippenger_window(std::size_t n_bases) {
-  if (n_bases >= 1024) return 7;
-  if (n_bases >= 256) return 6;
-  return 5;
-}
-
-}  // namespace
-
 std::size_t FixedBaseTable::memory_bytes() const {
   std::size_t limbs = 0;
   for (const auto& entry : entries_) limbs += entry.size();
@@ -98,8 +78,6 @@ BigInt MontgomeryCtx::multi_exp(std::span<const BigInt> bases,
     max_bits = std::max(max_bits, e.bit_length());
   }
   if (max_bits == 0) return mod(BigInt{1}, modulus_);
-  if (bases.size() >= kPippengerMinBases)
-    return multi_exp_pippenger(bases, exponents, max_bits);
   // Per-base odd+even power tables (1..15), then one shared squaring
   // ladder: k bases cost 160 squarings total instead of 160 each.
   std::vector<std::vector<std::vector<Limb>>> tables(bases.size());
@@ -131,65 +109,6 @@ BigInt MontgomeryCtx::multi_exp(std::span<const BigInt> bases,
     }
   }
   return from_mont(std::move(acc));  // started: max_bits > 0 has a digit
-}
-
-BigInt MontgomeryCtx::multi_exp_pippenger(std::span<const BigInt> bases,
-                                          std::span<const BigInt> exponents,
-                                          std::size_t max_bits) const {
-  // Pippenger's bucket method: per c-bit window, multiply each base into
-  // the bucket of its digit, then fold the buckets with one suffix-product
-  // sweep (bucket[d]^d for all d in 2·2^c multiplications, no per-digit
-  // exponentiations).  All windows share a single squaring ladder, exactly
-  // like the Straus path, so results are identical — only the per-window
-  // inner loop differs.
-  const std::size_t c = pippenger_window(bases.size());
-  const std::size_t nbuckets = (std::size_t{1} << c) - 1;
-  std::vector<std::vector<Limb>> mont(bases.size());
-  for (std::size_t i = 0; i < bases.size(); ++i) mont[i] = to_mont(bases[i]);
-  std::vector<std::vector<Limb>> bucket(nbuckets);
-  std::vector<char> occupied(nbuckets, 0);
-  const std::size_t nwin = (max_bits + c - 1) / c;
-  std::vector<Limb> acc;
-  bool started = false;
-  for (std::size_t win = nwin; win-- > 0;) {
-    if (started) {
-      for (std::size_t s = 0; s < c; ++s) acc = mont_mul(acc, acc);
-    }
-    std::fill(occupied.begin(), occupied.end(), 0);
-    for (std::size_t i = 0; i < bases.size(); ++i) {
-      unsigned d = 0;
-      for (std::size_t k = c; k-- > 0;)
-        d = (d << 1) | (exponents[i].bit(win * c + k) ? 1u : 0u);
-      if (d == 0) continue;
-      if (occupied[d - 1]) {
-        bucket[d - 1] = mont_mul(bucket[d - 1], mont[i]);
-      } else {
-        bucket[d - 1] = mont[i];
-        occupied[d - 1] = 1;
-      }
-    }
-    // Suffix sweep: running = prod of buckets with digit >= d+1, so
-    // multiplying it into the window sum once per step contributes each
-    // bucket raised to exactly its digit value.
-    std::vector<Limb> running, wsum;
-    bool have_running = false, have_sum = false;
-    for (std::size_t d = nbuckets; d-- > 0;) {
-      if (occupied[d]) {
-        running = have_running ? mont_mul(running, bucket[d]) : bucket[d];
-        have_running = true;
-      }
-      if (have_running) {
-        wsum = have_sum ? mont_mul(wsum, running) : running;
-        have_sum = true;
-      }
-    }
-    if (have_sum) {
-      acc = started ? mont_mul(acc, wsum) : std::move(wsum);
-      started = true;
-    }
-  }
-  if (!started) return mod(BigInt{1}, modulus_);  // all-zero digits
-  return from_mont(std::move(acc));
 }
 
 }  // namespace p2pcash::bn

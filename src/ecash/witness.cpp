@@ -4,8 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "nizk/batch_verify.h"
-
 namespace p2pcash::ecash {
 
 namespace {
@@ -187,62 +185,6 @@ Outcome<SignResult> WitnessService::sign_transcript(
     return Refusal{RefusalReason::kBadProof, "NIZK response invalid"};
 
   return finish_sign(transcript, coin_hash, now, faulty);
-}
-
-std::vector<Outcome<SignResult>> WitnessService::sign_transcript_batch(
-    std::span<const PaymentTranscript> transcripts, Timestamp now) {
-  store::StoreCommit store_commit(store_);
-  const bool faulty = is_faulty();
-  std::vector<std::optional<Outcome<SignResult>>> results(transcripts.size());
-  std::vector<Hash256> hashes(transcripts.size());
-  // Per-coin checks and fast-path answers first; every survivor contributes
-  // its payment NIZK to one RLC-combined verification.
-  std::vector<std::size_t> pending;
-  std::vector<nizk::BatchItem> items;
-  for (std::size_t i = 0; i < transcripts.size(); ++i) {
-    const PaymentTranscript& t = transcripts[i];
-    hashes[i] = t.coin.bare.coin_hash();
-    if (auto fast = sign_fast_path(hashes[i], t, faulty)) {
-      results[i] = std::move(*fast);
-      continue;
-    }
-    auto index = check_presented_coin(t.coin, hashes[i], now);
-    if (!index) {
-      results[i] = index.refusal();
-      continue;
-    }
-    // Mirror verify_transcript_proof exactly: same commitments, same
-    // challenge, same response — the batch must accept iff it would.
-    auto cc = current_commitments(t.coin);
-    items.push_back(nizk::BatchItem{
-        nizk::Commitments{cc.a, cc.b},
-        payment_challenge(grp_, t.coin, t.merchant, t.datetime), t.resp});
-    pending.push_back(i);
-  }
-  if (!items.empty()) {
-    nizk::BatchResult verdict;
-    {
-      sync::MutexLock rng_lock(rng_mu_);
-      verdict = nizk::batch_verify_responses(grp_, items, rng_);
-    }
-    std::size_t bad_pos = 0;
-    for (std::size_t j = 0; j < pending.size(); ++j) {
-      const std::size_t i = pending[j];
-      if (bad_pos < verdict.bad_indices.size() &&
-          verdict.bad_indices[bad_pos] == j) {
-        ++bad_pos;
-        results[i] = Refusal{RefusalReason::kBadProof, "NIZK response invalid"};
-        continue;
-      }
-      // Index order here is what makes two same-coin transcripts in one
-      // batch resolve exactly as sequential sign_transcript calls would.
-      results[i] = finish_sign(transcripts[i], hashes[i], now, faulty);
-    }
-  }
-  std::vector<Outcome<SignResult>> out;
-  out.reserve(results.size());
-  for (auto& r : results) out.push_back(std::move(*r));
-  return out;
 }
 
 Outcome<SignResult> WitnessService::finish_sign(

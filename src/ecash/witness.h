@@ -83,17 +83,6 @@ class WitnessService {
   Outcome<SignResult> sign_transcript(const PaymentTranscript& transcript,
                                       Timestamp now);
 
-  /// Batch form of sign_transcript: the payment NIZKs of all transcripts
-  /// that pass the per-coin checks are verified with ONE random-linear-
-  /// combination multi-exp (nizk::batch_verify_responses), bisecting on
-  /// failure so each bad proof is refused individually while the rest
-  /// proceed.  Results are index-aligned with `transcripts` and
-  /// decision-compatible with calling sign_transcript per item (the batch
-  /// is one verification wave: two transcripts of the SAME coin in one
-  /// batch resolve in index order, exactly as sequential calls would).
-  std::vector<Outcome<SignResult>> sign_transcript_batch(
-      std::span<const PaymentTranscript> transcripts, Timestamp now);
-
   /// Conflict resolution (paper §5): reveal the value v committed under
   /// h(v) so an arbiter can decide whether the witness knew of a prior
   /// spend when it committed.  Reveals the *latest* commitment for the coin.
@@ -237,10 +226,9 @@ class WitnessService {
       const Hash256& coin_hash, const PaymentTranscript& transcript,
       bool faulty) const;
 
-  /// The stripe-locked state machine shared by sign_transcript and the
-  /// batch path: re-checks the spend state under the coin's stripe, then
-  /// extracts, refuses, or countersigns.  Caller has already verified the
-  /// coin and its NIZK.
+  /// The stripe-locked state machine of sign_transcript: re-checks the
+  /// spend state under the coin's stripe, then extracts, refuses, or
+  /// countersigns.  Caller has already verified the coin and its NIZK.
   Outcome<SignResult> finish_sign(const PaymentTranscript& transcript,
                                   const Hash256& coin_hash, Timestamp now,
                                   bool faulty);

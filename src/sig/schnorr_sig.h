@@ -79,12 +79,4 @@ class KeyPair {
 bool verify(const group::SchnorrGroup& grp, const PublicKey& pk,
             const std::vector<std::uint8_t>& message, const Signature& sig);
 
-namespace detail {
-/// e = H(R || y || m) — shared by verify() and the batch verifier so the
-/// two paths cannot drift.  Not part of the signing API.
-bn::BigInt challenge_hash(const group::SchnorrGroup& grp,
-                          const bn::BigInt& r_point, const bn::BigInt& y,
-                          const std::vector<std::uint8_t>& message);
-}  // namespace detail
-
 }  // namespace p2pcash::sig

@@ -10,7 +10,8 @@
 //       the objects the actors used to touch directly, so deterministic
 //       tests, chaos schedules and golden traces stay byte-identical; and
 //   (b) TcpNet (tcp_net.h) — a real epoll-based TCP io-loop with
-//       length-prefixed framing, per-peer outbound queues, reconnection,
+//       length-prefixed framing, per-peer outbound queues, a broken
+//       connection dropped with its queue and redialed by the next send,
 //       and a worker-thread pool delivering messages on per-endpoint
 //       strands — real payments/sec on real cores.
 //

@@ -3,10 +3,10 @@
 // The witness hot path is embarrassingly parallel: independent payments
 // touch disjoint coins, and the striped WitnessService (src/ecash/witness)
 // lets concurrent sign_transcript calls proceed as long as they land on
-// different stripes.  This pool is the pipeline in front of it: callers
-// partition payments into batches (so the NIZK batch verifier amortizes
-// the multi-exp) and submit one task per batch; `drain()` is the barrier
-// at the end of a wave.
+// different stripes.  This pool is the pipeline in front of it:
+// transport::TcpNet runs every endpoint strand's handlers on it, and a
+// caller may submit one task per payment; `drain()` is the barrier at the
+// end of a wave.
 //
 // Lock discipline: the queue mutex sits ABOVE the service level (kPool)
 // because tasks always run with it released — a worker dequeues under the

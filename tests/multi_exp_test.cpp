@@ -168,9 +168,9 @@ TEST(MultiExp, TableMemoryIsReportedAfterUse) {
 }
 
 TEST(MultiExp, DegenerateBatchInputs) {
-  // Degenerate shapes the batch verifier feeds multi_exp must match the
-  // plain ladder exactly: zero exponents, identity bases, and mixes of
-  // both must contribute nothing to the product.
+  // Degenerate shapes fed to multi_exp must match the plain ladder
+  // exactly: zero exponents, identity bases, and mixes of both must
+  // contribute nothing to the product.
   const SchnorrGroup& grp = SchnorrGroup::test_256();
   crypto::ChaChaRng rng("multi-exp/degenerate");
   BigInt base = bn::random_below(rng, grp.p() - BigInt{1}) + BigInt{1};
@@ -212,12 +212,12 @@ TEST(MultiExp, SingleElementBatchMatchesPlainLadderExactly) {
   }
 }
 
-TEST(MultiExp, PippengerPathAgreesWithProductOfExps) {
-  // 150 bases crosses the bucket-method threshold (128); the result must
-  // still agree with the naive product, including zero exponents and
+TEST(MultiExp, LargeBatchAgreesWithProductOfExps) {
+  // 150 bases (more than 128) through the one Straus ladder: the result
+  // must agree with the naive product, including zero exponents and
   // identity bases sprinkled in.
   const SchnorrGroup& grp = SchnorrGroup::test_256();
-  crypto::ChaChaRng rng("multi-exp/pippenger");
+  crypto::ChaChaRng rng("multi-exp/large-batch");
   std::vector<BigInt> bases, exps;
   for (std::size_t i = 0; i < 150; ++i) {
     if (i % 31 == 0) {

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "crypto/chacha.h"
-#include "nizk/batch_verify.h"
 
 namespace p2pcash::nizk {
 namespace {
@@ -159,108 +158,6 @@ TEST_P(NizkSweep, ExtractionAlwaysWorks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NizkSweep, ::testing::Range(0, 10));
-
-// ---------------------------------------------------------------------------
-// RLC batch verification
-// ---------------------------------------------------------------------------
-
-std::vector<BatchItem> valid_items(std::size_t n, bn::Rng& rng) {
-  std::vector<BatchItem> items;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto secret = CoinSecret::random(grp(), rng);
-    auto comm = commit(grp(), secret);
-    BigInt d = grp().random_scalar(rng);
-    items.push_back(BatchItem{comm, d, respond(grp(), secret, d)});
-  }
-  return items;
-}
-
-TEST(NizkBatch, AllValidBatchesAccept) {
-  crypto::ChaChaRng rng("nizk-batch-ok");
-  for (std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                        std::size_t{40}}) {
-    auto items = valid_items(n, rng);
-    auto result = batch_verify_responses(grp(), items, rng);
-    EXPECT_TRUE(result.ok) << "n=" << n;
-    EXPECT_TRUE(result.bad_indices.empty()) << "n=" << n;
-  }
-}
-
-TEST(NizkBatch, EmptyBatchAccepts) {
-  crypto::ChaChaRng rng("nizk-batch-empty");
-  auto result = batch_verify_responses(grp(), {}, rng);
-  EXPECT_TRUE(result.ok);
-}
-
-TEST(NizkBatch, ForgedProofIsNamedByBisection) {
-  // One forged response hidden in an otherwise-valid batch: the combined
-  // check must fail and the bisection must name exactly the bad index.
-  crypto::ChaChaRng rng("nizk-batch-forged");
-  auto items = valid_items(9, rng);
-  items[6].resp.r1 = bn::mod(items[6].resp.r1 + BigInt{1}, grp().q());
-  auto result = batch_verify_responses(grp(), items, rng);
-  EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.bad_indices, (std::vector<std::size_t>{6}));
-}
-
-TEST(NizkBatch, MultipleForgeriesAllNamed) {
-  crypto::ChaChaRng rng("nizk-batch-multi");
-  auto items = valid_items(12, rng);
-  for (std::size_t bad : {std::size_t{0}, std::size_t{5}, std::size_t{11}})
-    items[bad].resp.r2 = bn::mod(items[bad].resp.r2 + BigInt{1}, grp().q());
-  auto result = batch_verify_responses(grp(), items, rng);
-  EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.bad_indices,
-            (std::vector<std::size_t>{0, 5, 11}));
-}
-
-TEST(NizkBatch, OutOfRangeResponseNamedWithoutAccusingOthers) {
-  // r1 = q fails the scalar range check — named up front, exactly like the
-  // individual verifier's early reject, with the rest of the batch intact.
-  crypto::ChaChaRng rng("nizk-batch-range");
-  auto items = valid_items(5, rng);
-  items[2].resp.r1 = grp().q();
-  items[4].resp.r2 = BigInt{0} - BigInt{1};
-  auto result = batch_verify_responses(grp(), items, rng);
-  EXPECT_FALSE(result.ok);
-  EXPECT_EQ(result.bad_indices, (std::vector<std::size_t>{2, 4}));
-}
-
-TEST(NizkBatch, DecisionsMatchIndividualVerifier) {
-  // Bit-compatibility sweep: for a random mix of valid, forged and
-  // mismatched items, the batch's accept/reject per index must equal n
-  // independent verify_response calls.
-  crypto::ChaChaRng rng("nizk-batch-compat");
-  auto items = valid_items(16, rng);
-  items[1].resp.r1 = bn::mod(items[1].resp.r1 + BigInt{7}, grp().q());
-  items[8].d = bn::mod(items[8].d + BigInt{1}, grp().q());
-  items[13].comm = commit(grp(), CoinSecret::random(grp(), rng));
-  std::vector<std::size_t> expected_bad;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (!verify_response(grp(), items[i].comm, items[i].d, items[i].resp))
-      expected_bad.push_back(i);
-  }
-  auto result = batch_verify_responses(grp(), items, rng);
-  EXPECT_EQ(result.bad_indices, expected_bad);
-  EXPECT_EQ(result.ok, expected_bad.empty());
-}
-
-TEST(NizkBatch, RepresentationBatchAcceptsAndNamesForgeries) {
-  crypto::ChaChaRng rng("nizk-batch-rep");
-  std::vector<RepresentationItem> items;
-  for (std::size_t i = 0; i < 10; ++i) {
-    Representation rep{grp().random_scalar(rng), grp().random_scalar(rng)};
-    BigInt commitment =
-        grp().mul(grp().exp(grp().g1(), rep.e1), grp().exp(grp().g2(), rep.e2));
-    items.push_back(RepresentationItem{std::move(commitment), rep});
-  }
-  auto ok = batch_verify_representations(grp(), items, rng);
-  EXPECT_TRUE(ok.ok);
-  items[3].rep.e1 = bn::mod(items[3].rep.e1 + BigInt{1}, grp().q());
-  auto bad = batch_verify_representations(grp(), items, rng);
-  EXPECT_FALSE(bad.ok);
-  EXPECT_EQ(bad.bad_indices, (std::vector<std::size_t>{3}));
-}
 
 }  // namespace
 }  // namespace p2pcash::nizk

@@ -1,9 +1,7 @@
 // Verification worker pool + striped witness hot path.  Run under
 // -DP2PCASH_SANITIZE=thread this is the TSan proof that the witness's
 // coin-hash-striped locking keeps check-then-sign atomic per coin while
-// payments of different coins proceed in parallel, and that the batch
-// entry point (one RLC multi-exp per wave) makes the same decisions as
-// sequential sign_transcript calls.
+// payments of different coins proceed in parallel.
 
 #include "verify/worker_pool.h"
 
@@ -69,7 +67,7 @@ TEST(WorkerPool, ZeroThreadsClampedToOne) {
 }
 
 // ---------------------------------------------------------------------------
-// Striped witness: batch entry point and concurrent hot path
+// Striped witness: sequential and concurrent hot path
 // ---------------------------------------------------------------------------
 
 class VerifyPoolTest : public ecash::testing::EcashTest {
@@ -105,41 +103,11 @@ class VerifyPoolTest : public ecash::testing::EcashTest {
   }
 };
 
-TEST_F(VerifyPoolTest, BatchSignEndorsesIndependentCoins) {
-  // Six fresh coins, batched per witness: every payment must come back as
-  // an endorsement, and a sequential retry of each transcript must get the
-  // identical endorsement back (the batch recorded the spends).
-  std::map<MerchantId, std::vector<PaymentTranscript>> waves;
-  std::size_t total = 0;
-  for (int i = 0; i < 6; ++i) {
-    auto coin = withdraw(100, 1000);
-    auto p = prepare(coin, non_witness_merchant(coin), 2000);
-    waves[witness_id(coin)].push_back(p.transcript);
-    ++total;
-  }
-  std::size_t endorsed = 0;
-  for (auto& [id, transcripts] : waves) {
-    auto& witness = *dep_.node(id).witness;
-    auto results = witness.sign_transcript_batch(transcripts, 2100);
-    ASSERT_EQ(results.size(), transcripts.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      ASSERT_TRUE(results[i].ok()) << results[i].refusal().detail;
-      ASSERT_TRUE(std::holds_alternative<WitnessEndorsement>(
-          results[i].value()));
-      ++endorsed;
-      auto retry = witness.sign_transcript(transcripts[i], 2100);
-      ASSERT_TRUE(retry.ok());
-      EXPECT_EQ(std::get<WitnessEndorsement>(retry.value()),
-                std::get<WitnessEndorsement>(results[i].value()));
-    }
-  }
-  EXPECT_EQ(endorsed, total);
-}
-
-TEST_F(VerifyPoolTest, ForgedProofInBatchRefusedWithoutPunishingOthers) {
-  // Collect three coins assigned to the same witness, forge the middle
-  // NIZK: the batch must refuse exactly that payment with kBadProof (named
-  // by the bisection) and endorse the neighbours.
+TEST_F(VerifyPoolTest, ForgedProofRefusedWithoutPunishingOthers) {
+  // Three coins assigned to the same witness, the middle payment NIZK
+  // forged, signed one after another: exactly the forgery is refused with
+  // kBadProof and its neighbours are endorsed.  The refusal records no
+  // spend, so the forged coin's honest transcript is still endorsed.
   std::map<MerchantId, std::vector<WalletCoin>> by_witness;
   MerchantId target;
   for (int i = 0; i < 60 && target.empty(); ++i) {
@@ -154,36 +122,24 @@ TEST_F(VerifyPoolTest, ForgedProofInBatchRefusedWithoutPunishingOthers) {
     auto p = prepare(coin, non_witness_merchant(coin), 2000);
     transcripts.push_back(p.transcript);
   }
+  const PaymentTranscript honest = transcripts[1];
   transcripts[1].resp.r1 =
       bn::mod(transcripts[1].resp.r1 + bn::BigInt{1}, dep_.grp().q());
   auto& witness = *dep_.node(target).witness;
-  auto results = witness.sign_transcript_batch(transcripts, 2100);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].ok());
-  ASSERT_FALSE(results[1].ok());
-  EXPECT_EQ(results[1].refusal().reason, RefusalReason::kBadProof);
-  EXPECT_TRUE(results[2].ok());
-}
-
-TEST_F(VerifyPoolTest, SameCoinTwiceInOneBatchResolvesInIndexOrder) {
-  // Two transcripts of ONE coin (same commitment, different datetime, so
-  // different challenges) inside one batch: index order decides — the
-  // first is endorsed, the second is a provable double spend, exactly as
-  // sequential calls would resolve them.
-  auto coin = withdraw(100, 1000);
-  auto p = prepare(coin, non_witness_merchant(coin), 2000);
-  auto second =
-      wallet_->build_transcript(coin, p.intent, {p.commitment}, 2075);
-  ASSERT_TRUE(second.ok());
-  std::vector<PaymentTranscript> wave{p.transcript, second.value()};
-  auto& witness = witness_for(coin);
-  auto results = witness.sign_transcript_batch(wave, 2100);
-  ASSERT_EQ(results.size(), 2u);
-  ASSERT_TRUE(results[0].ok());
-  EXPECT_TRUE(std::holds_alternative<WitnessEndorsement>(results[0].value()));
-  ASSERT_TRUE(results[1].ok());
-  EXPECT_TRUE(std::holds_alternative<DoubleSpendProof>(results[1].value()));
-  EXPECT_TRUE(witness.has_double_spend_record(coin.coin.bare.coin_hash()));
+  for (std::size_t i = 0; i < transcripts.size(); ++i) {
+    auto result = witness.sign_transcript(transcripts[i], 2100);
+    if (i == 1) {
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.refusal().reason, RefusalReason::kBadProof);
+    } else {
+      ASSERT_TRUE(result.ok()) << result.refusal().detail;
+      EXPECT_TRUE(std::holds_alternative<WitnessEndorsement>(result.value()));
+    }
+  }
+  auto retry = witness.sign_transcript(honest, 2100);
+  ASSERT_TRUE(retry.ok()) << retry.refusal().detail;
+  EXPECT_TRUE(std::holds_alternative<WitnessEndorsement>(retry.value()));
+  EXPECT_EQ(witness.coins_signed(), 3u);
 }
 
 TEST_F(VerifyPoolTest, PooledSigningOfDisjointCoinsAllEndorse) {
